@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -93,25 +93,67 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, params: KernelParams) -> np.ndar
     return params.signal_variance * np.exp(-sq / (2.0 * params.lengthscale**2))
 
 
-def _cholesky_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
+# LAPACK Cholesky factorization and solve for float64, fetched once.
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive-definite matrix (LAPACK ``potrf``).
+
+    Only the lower triangle of ``a`` is read and ``a`` is left unchanged; the
+    factor comes back column-major with its upper triangle zeroed.  Raises
+    ``np.linalg.LinAlgError`` when ``a`` is not positive definite.
+    """
+    L, info = _potrf(a, lower=1, clean=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
+    if info < 0:
+        raise ValueError(f"potrf rejected argument {-info}")
+    return L
+
+
+def distance_table(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise squared distances of ``X`` as (unique values, (n, n) index into them).
+
+    One-hot features take few distinct pairwise distances, so a covariance is
+    built by exponentiating the unique values and gathering them, not by
+    exponentiating all n^2 entries.
+    """
+    sq = cdist(X, X, metric="sqeuclidean")
+    uniq, inverse = np.unique(sq, return_inverse=True)
+    return uniq, inverse.reshape(sq.shape)
+
+
+def _factor(
+    table: tuple[np.ndarray, np.ndarray], y: np.ndarray, lengthscale, signal, noise
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(L, alpha, jitter) with L L^T = K + (noise + jitter) I and alpha = (L L^T)^-1 y.
+
+    The first ``_JITTERS`` entry that makes the covariance factorizable wins;
+    each retry adds its jitter to a fresh copy of the diagonal.
+    """
+    uniq, inverse = table
+    cov = (signal * np.exp(-uniq / (2.0 * lengthscale**2)))[inverse]
+    step = cov.shape[0] + 1
+    cov.reshape(-1)[::step] += noise
     for jitter in _JITTERS:
+        a = cov
+        if jitter:
+            a = cov.copy()
+            a.reshape(-1)[::step] += jitter
         try:
-            L = cholesky(cov + jitter * np.eye(cov.shape[0]), lower=True, check_finite=False)
-            return L, jitter
+            # Symmetric, so the transpose is the same matrix in the column-major
+            # layout LAPACK takes without reordering.
+            L = cholesky(a.T)
         except np.linalg.LinAlgError:
             continue
+        alpha, _ = _potrs(L, y, lower=1)
+        return L, alpha, jitter
     raise GPError("covariance not positive definite after maximum jitter 1e-6")
 
 
-def _lml_from_sq_dists(sq: np.ndarray, y: np.ndarray, params: KernelParams) -> float:
-    n = y.shape[0]
-    cov = params.signal_variance * np.exp(-sq / (2.0 * params.lengthscale**2))
-    cov[np.diag_indices_from(cov)] += params.noise_variance
-    L, _ = _cholesky_with_jitter(cov)
-    alpha = cho_solve((L, True), y, check_finite=False)
-    return float(
-        -0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * np.log(2.0 * np.pi)
-    )
+def _neg_lml(L: np.ndarray, alpha: np.ndarray, y: np.ndarray, log_2pi_term: float) -> float:
+    return float(0.5 * y @ alpha + np.log(L.diagonal()).sum() + log_2pi_term)
 
 
 def log_marginal_likelihood(params: KernelParams, X: np.ndarray, y: np.ndarray) -> float:
@@ -120,14 +162,24 @@ def log_marginal_likelihood(params: KernelParams, X: np.ndarray, y: np.ndarray) 
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != y.shape[0] or y.shape[0] < 1:
         raise ValueError("X and y must agree and be non-empty")
-    sq = cdist(X, X, metric="sqeuclidean")
-    return _lml_from_sq_dists(sq, y, params)
+    L, alpha, _ = _factor(
+        distance_table(X), y, params.lengthscale, params.signal_variance, params.noise_variance
+    )
+    return -_neg_lml(L, alpha, y, 0.5 * y.shape[0] * np.log(2.0 * np.pi))
 
 
 class GPModel:
     """Fitted GP: training features, standardized targets, cached Cholesky factor."""
 
-    def __init__(self, X: np.ndarray, y_raw: np.ndarray, params: KernelParams, standardize: bool = True):
+    def __init__(
+        self,
+        X: np.ndarray,
+        y_raw: np.ndarray,
+        params: KernelParams,
+        standardize: bool = True,
+        table: tuple[np.ndarray, np.ndarray] | None = None,
+    ):
+        """``table`` is ``distance_table(X)`` when the caller already has it."""
         self.X = np.atleast_2d(np.asarray(X, dtype=float))
         y_raw = np.asarray(y_raw, dtype=float).ravel()
         if self.X.shape[0] != y_raw.shape[0] or y_raw.shape[0] < 1:
@@ -143,15 +195,15 @@ class GPModel:
             self.target_std = 1.0
         self.y = (y_raw - self.target_mean) / self.target_std
 
-        cov = kernel_matrix(self.X, self.X, params)
-        cov[np.diag_indices_from(cov)] += params.noise_variance
-        L, jitter = _cholesky_with_jitter(cov)
+        if table is None:
+            table = distance_table(self.X)
+        self.L, self.alpha, jitter = _factor(
+            table, self.y, params.lengthscale, params.signal_variance, params.noise_variance
+        )
         # Fold any jitter into the stored noise so L L^T reproduces K + noise*I.
         self.params = KernelParams(
             params.lengthscale, params.signal_variance, params.noise_variance + jitter
         )
-        self.L = L
-        self.alpha = cho_solve((L, True), self.y, check_finite=False)
 
     @property
     def n(self) -> int:
@@ -186,12 +238,15 @@ def fit(
     seed=0,
     bounds=DEFAULT_BOUNDS,
     maxfev: int = 60,
+    table: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> GPModel:
     """Standardize targets and pick hyperparameters by maximum marginal likelihood.
 
     Starting points are ``n_starts`` log-uniform draws from ``seed`` plus one
     median-distance heuristic; all are probed, and bounded Powell searches run
-    from the three most promising.  Deterministic for a fixed seed.
+    from the three most promising.  Deterministic for a fixed seed.  ``table``
+    is ``distance_table(X)``, passed by callers that fit several targets on
+    the same ``X``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y_raw = np.asarray(y_raw, dtype=float).ravel()
@@ -203,29 +258,22 @@ def fit(
     if std <= 1e-12:
         std = 1.0
     y = (y_raw - mean) / std
-    sq = cdist(X, X, metric="sqeuclidean")
-    # One-hot features take few distinct pairwise distances; exponentiate the
-    # unique values once per likelihood evaluation instead of all n^2 entries.
-    uniq, inverse = np.unique(sq, return_inverse=True)
-    inverse = inverse.reshape(sq.shape)
-    n = y.shape[0]
-    log_2pi_term = 0.5 * n * np.log(2.0 * np.pi)
+    if table is None:
+        table = distance_table(X)
+    log_2pi_term = 0.5 * y.shape[0] * np.log(2.0 * np.pi)
 
     def neg_lml(theta: np.ndarray) -> float:
-        lengthscale, signal, noise = np.exp(theta)
-        cov = signal * np.exp(-uniq / (2.0 * lengthscale**2))[inverse]
-        cov[np.diag_indices_from(cov)] += noise
         try:
-            L, _ = _cholesky_with_jitter(cov)
+            L, alpha, _ = _factor(table, y, *np.exp(theta).tolist())
         except GPError:
             return np.inf
-        alpha = cho_solve((L, True), y, check_finite=False)
-        return float(0.5 * y @ alpha + np.sum(np.log(np.diag(L))) + log_2pi_term)
+        return _neg_lml(L, alpha, y, log_2pi_term)
 
     log_bounds = np.log(np.asarray(bounds, dtype=float))
     rng = np.random.default_rng(seed)
     starts = rng.uniform(log_bounds[:, 0], log_bounds[:, 1], size=(n_starts, 3))
     # Plus one heuristic start: median-distance lengthscale, unit signal.
+    uniq = table[0]
     positive = uniq[uniq > 0]
     med = float(np.sqrt(np.median(positive))) if positive.size else 1.0
     heuristic = np.log(np.clip([med, 1.0, 1e-2], *np.asarray(bounds, dtype=float).T))
@@ -247,4 +295,4 @@ def fit(
             best_theta = res.x
     if best_theta is None or not np.isfinite(best_val):
         raise GPError("hyperparameter search failed for all starts")
-    return GPModel(X, y_raw, KernelParams(*np.exp(best_theta)), standardize=True)
+    return GPModel(X, y_raw, KernelParams(*np.exp(best_theta)), standardize=True, table=table)

@@ -145,10 +145,12 @@ def _fit_models(
     X = gp.featurize_batch([r.genome for r in history])
     raw = objective_matrix(history, subset)
     transformed = transform_values(raw, subset)
-    models = {}
-    for j, name in enumerate(subset):
-        models[name] = gp.fit(X, transformed[:, j], seed=seed_key + [j])
-    return models
+    # Every objective is fit on the same X, so its distance table is shared.
+    table = gp.distance_table(X)
+    return {
+        name: gp.fit(X, transformed[:, j], seed=seed_key + [j], table=table)
+        for j, name in enumerate(subset)
+    }
 
 
 def acquisition_score(

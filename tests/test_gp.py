@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from hwnas.gp import (
     GPError,
     GPModel,
     KernelParams,
+    cholesky,
     feature_dim,
     featurize,
     featurize_batch,
@@ -27,6 +32,27 @@ def lml_dense_oracle(params, X, y):
     sign, logdet = np.linalg.slogdet(K)
     assert sign > 0
     return float(-0.5 * y @ np.linalg.inv(K) @ y - 0.5 * logdet - 0.5 * n * np.log(2 * np.pi))
+
+
+def scipy_reference(params, X, y):
+    """(L, alpha, jitter, negative LML) from scipy's cholesky/cho_solve over the full matrix.
+
+    The jitter ladder is the one the kernel must keep: add each jitter in
+    turn to the diagonal of the noisy covariance until it factorizes.
+    """
+    n = y.shape[0]
+    sq = cdist(X, X, metric="sqeuclidean")
+    cov = params.signal_variance * np.exp(-sq / (2.0 * params.lengthscale**2))
+    cov[np.diag_indices_from(cov)] += params.noise_variance
+    for jitter in (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+        try:
+            L = scipy.linalg.cholesky(cov + jitter * np.eye(n), lower=True, check_finite=False)
+            break
+        except np.linalg.LinAlgError:
+            continue
+    alpha = scipy.linalg.cho_solve((L, True), y, check_finite=False)
+    neg = float(0.5 * y @ alpha + np.sum(np.log(np.diag(L))) + 0.5 * n * np.log(2.0 * np.pi))
+    return L, alpha, jitter, neg
 
 
 class TestFeaturize:
@@ -111,6 +137,61 @@ class TestLogMarginalLikelihood:
             assert log_marginal_likelihood(p, X, y) == pytest.approx(
                 lml_dense_oracle(p, X, y), abs=1e-6
             )
+
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 12),
+        d=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        lengthscale=st.floats(0.3, 10.0),
+        signal=st.floats(0.1, 5.0),
+        noise=st.floats(1e-2, 1.0),
+    )
+    def test_matches_dense_oracle_property(self, n, d, seed, lengthscale, signal, noise):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        y = rng.normal(size=n)
+        p = KernelParams(lengthscale, signal, noise)
+        assert log_marginal_likelihood(p, X, y) == pytest.approx(lml_dense_oracle(p, X, y), abs=1e-6)
+
+
+class TestKernelEquivalence:
+    """The LAPACK kernel reproduces scipy's cholesky/cho_solve path bit for bit."""
+
+    CASES = {
+        "normal": (np.random.default_rng(11).normal(size=(15, 4)), KernelParams(1.7, 0.8, 0.3)),
+        "one_hot": (
+            featurize_batch([random_genome(np.random.default_rng(12), 2) for _ in range(40)]),
+            KernelParams(1.3, 2.0, 1e-3),
+        ),
+        # Identical rows and zero noise: singular until the ladder adds jitter;
+        # a large signal makes rounding outgrow the first rungs.
+        "duplicates": (np.zeros((8, 3)), KernelParams(2.0, 1.0, 0.0)),
+        "duplicates_large_signal": (np.zeros((8, 3)), KernelParams(2.0, 1e7, 0.0)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bit_identical_to_scipy(self, case):
+        X, p = self.CASES[case]
+        y = np.random.default_rng(14).normal(size=X.shape[0])
+        L, alpha, jitter, neg = scipy_reference(p, X, y)
+        assert -log_marginal_likelihood(p, X, y) == neg
+        m = GPModel(X, y, p, standardize=False)
+        assert np.array_equal(m.L, L)
+        assert np.array_equal(m.alpha, alpha)
+        assert m.params.noise_variance == p.noise_variance + jitter
+
+    def test_duplicates_climb_the_jitter_ladder(self):
+        jitters = [
+            scipy_reference(p, X, np.ones(X.shape[0]))[2]
+            for X, p in (self.CASES["duplicates"], self.CASES["duplicates_large_signal"])
+        ]
+        assert jitters == [1e-10, 1e-8]
+
+    def test_cholesky_raises_on_indefinite(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestPosterior:
