@@ -107,8 +107,6 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     L, info = _potrf(a, lower=1, clean=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
-    if info < 0:
-        raise ValueError(f"potrf rejected argument {-info}")
     return L
 
 
@@ -125,7 +123,7 @@ def distance_table(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _factor(
-    table: tuple[np.ndarray, np.ndarray], y: np.ndarray, lengthscale, signal, noise
+    table: tuple[np.ndarray, np.ndarray], y: np.ndarray, lengthscale: float, signal: float, noise: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """(L, alpha, jitter) with L L^T = K + (noise + jitter) I and alpha = (L L^T)^-1 y.
 
@@ -142,9 +140,7 @@ def _factor(
             a = cov.copy()
             a.reshape(-1)[::step] += jitter
         try:
-            # Symmetric, so the transpose is the same matrix in the column-major
-            # layout LAPACK takes without reordering.
-            L = cholesky(a.T)
+            L = cholesky(a)
         except np.linalg.LinAlgError:
             continue
         alpha, _ = _potrs(L, y, lower=1)

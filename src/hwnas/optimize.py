@@ -10,6 +10,7 @@ run log, and refits one GP per objective.  Randomness is re-derived from
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -28,6 +29,7 @@ from .records import (
     ObjectiveVector,
     append_log_line,
     logical_timestamp,
+    mend_torn_tail,
     normalize_subset,
     objective_matrix,
     read_log,
@@ -353,33 +355,38 @@ def _run(
     subset = config.objective_subset
     device = _device_name(config.evaluator)
 
-    history: list[EvaluationRecord] = []
-    excluded: set[tuple[int, ...]] = set()
-    if config.log_path and Path(config.log_path).exists():
-        records, failures = split_log_entries(read_log(config.log_path))
-        _check_resume(config, records, source)
-        history = records
-        excluded = {encode(r.genome) for r in records}
-        for f in failures:
-            excluded.add(encode(CellGenome.from_json_dict(f["genome"])))
+    # The log is read under the lock, so no other run can be appending to it.
+    with _LogLock(config.log_path):
+        history: list[EvaluationRecord] = []
+        excluded: set[tuple[int, ...]] = set()
+        if config.log_path and Path(config.log_path).exists():
+            mended = mend_torn_tail(config.log_path)
+            if mended:
+                print(f"warning: {mended}", file=sys.stderr)
+            records, failures = split_log_entries(read_log(config.log_path))
+            _check_resume(config, records, source)
+            history = records
+            excluded = {encode(r.genome) for r in records}
+            for f in failures:
+                excluded.add(encode(CellGenome.from_json_dict(f["genome"])))
 
-    state = SearchState(
-        history=history,
-        budget=budget,
-        objective_subset=subset,
-        num_blocks=config.num_blocks,
-        n_init=config.n_init,
-        excluded=excluded,
-        mc_samples=config.mc_samples,
-    )
+        state = SearchState(
+            history=history,
+            budget=budget,
+            objective_subset=subset,
+            num_blocks=config.num_blocks,
+            n_init=config.n_init,
+            excluded=excluded,
+            mc_samples=config.mc_samples,
+        )
 
-    with _LogLock(config.log_path if len(history) < budget else None):
         while len(state.history) < budget:
             iteration = len(state.history)
             rng = np.random.default_rng([config.seed, iteration])
 
             models = None
-            if source == SOURCE_BO and iteration >= config.n_init:
+            # A GP needs two observations, so n_init = 1 still starts with two randoms.
+            if source == SOURCE_BO and iteration >= max(config.n_init, 2):
                 models = _fit_models(state.history, subset, [config.seed, iteration])
             if source == SOURCE_RANDOM:
                 genome = _random_unevaluated(rng, state.excluded, config.num_blocks)

@@ -155,6 +155,41 @@ def append_log_line(path: str | Path, d: dict) -> None:
         os.fsync(fh.fileno())
 
 
+def mend_torn_tail(path: str | Path) -> str | None:
+    """Repair a last line that a crash cut short; say what was done, or None.
+
+    ``append_log_line`` writes each line with its newline in one call, so a
+    last line without a newline was being written when the run died.  If it
+    does not parse, it was never written: it is truncated away.  If it
+    parses, only the newline is missing and it is added, so the next append
+    starts a line of its own.  A terminated bad line is left for
+    ``read_log`` to reject, since the writer finished it.  Call it only while
+    holding the log's lock.
+    """
+    path = Path(path)
+    with open(path, "rb+") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size == 0:
+            return None
+        fh.seek(size - 1)
+        if fh.read(1) == b"\n":
+            return None
+        fh.seek(0)
+        data = fh.read()
+        start = data.rfind(b"\n") + 1
+        try:
+            json.loads(data[start:])
+        except ValueError:
+            fh.truncate(start)
+            action = f"dropped {size - start} bytes of an unfinished last line from {path}"
+        else:
+            fh.write(b"\n")
+            action = f"added the missing newline after the last line of {path}"
+        fh.flush()
+        os.fsync(fh.fileno())
+    return action
+
+
 def read_log(path: str | Path) -> list[dict]:
     """Parse a JSONL run log into raw dicts (records and failure events alike)."""
     entries: list[dict] = []

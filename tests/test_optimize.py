@@ -312,6 +312,67 @@ class TestRunSearch:
         with pytest.raises(LogLockedError):
             run_search(cfg, ev)
 
+    def test_locked_log_is_neither_read_nor_mended(self, tmp_path):
+        cfg = small_config(tmp_path)
+        torn = b'{"iteration":0,"sour'
+        Path(cfg.log_path).write_bytes(torn)
+        Path(str(cfg.log_path) + ".lock").touch()
+        ev, _ = build_evaluator(SYNTH, cfg.macro)
+        with pytest.raises(LogLockedError):
+            run_search(cfg, ev)
+        assert Path(cfg.log_path).read_bytes() == torn
+
+    def test_torn_last_line_is_dropped_and_resumed(self, tmp_path, capsys):
+        full_cfg = small_config(tmp_path, log_path=str(tmp_path / "full.jsonl"))
+        ev, _ = build_evaluator(SYNTH, full_cfg.macro)
+        run_search(full_cfg, ev)
+        full_bytes = Path(full_cfg.log_path).read_bytes()
+        lines = full_bytes.split(b"\n")
+        part = tmp_path / "part.jsonl"
+        part.write_bytes(b"\n".join(lines[:4]) + b"\n" + lines[4][: len(lines[4]) // 2])
+        assert len(run_search(small_config(tmp_path, log_path=str(part)), ev)) == 6
+        assert part.read_bytes() == full_bytes
+        assert "unfinished last line" in capsys.readouterr().err
+
+    def test_complete_last_line_without_newline_is_kept(self, tmp_path, capsys):
+        full_cfg = small_config(tmp_path, log_path=str(tmp_path / "full.jsonl"))
+        ev, _ = build_evaluator(SYNTH, full_cfg.macro)
+        run_search(full_cfg, ev)
+        full_bytes = Path(full_cfg.log_path).read_bytes()
+        part = tmp_path / "part.jsonl"
+        part.write_bytes(b"\n".join(full_bytes.split(b"\n")[:5]))
+        calls = []
+
+        def counting(genome):
+            calls.append(genome)
+            return ev(genome)
+
+        run_search(small_config(tmp_path, log_path=str(part)), counting)
+        assert part.read_bytes() == full_bytes
+        assert len(calls) == 1
+        assert "missing newline" in capsys.readouterr().err
+
+    def test_mid_file_garbage_stays_fatal(self, tmp_path):
+        from hwnas.records import LogError
+
+        cfg = small_config(tmp_path)
+        ev, _ = build_evaluator(SYNTH, cfg.macro)
+        run_search(cfg, ev, budget=4)
+        lines = Path(cfg.log_path).read_bytes().split(b"\n")
+        corrupt = b"\n".join(lines[:2] + [b"{not json"] + lines[2:])
+        Path(cfg.log_path).write_bytes(corrupt)
+        with pytest.raises(LogError):
+            run_search(cfg, ev)
+        assert Path(cfg.log_path).read_bytes() == corrupt
+        assert not Path(str(cfg.log_path) + ".lock").exists()
+
+    def test_n_init_one_starts_with_two_randoms(self, tmp_path):
+        cfg = small_config(tmp_path, budget=6, n_init=1)
+        ev, _ = build_evaluator(SYNTH, cfg.macro)
+        records = run_search(cfg, ev)
+        assert len(records) == 6
+        assert len({encode(r.genome) for r in records}) == 6
+
     def test_sources_tagged(self, tmp_path):
         cfg = small_config(tmp_path)
         ev, _ = build_evaluator(SYNTH, cfg.macro)
