@@ -128,7 +128,7 @@ def _factor(
     """(L, alpha, jitter) with L L^T = K + (noise + jitter) I and alpha = (L L^T)^-1 y.
 
     The first ``_JITTERS`` entry that makes the covariance factorizable wins;
-    each retry adds its jitter to a fresh copy of the diagonal.
+    each retry adds its jitter to the diagonal of a fresh copy of the covariance.
     """
     uniq, inverse = table
     cov = (signal * np.exp(-uniq / (2.0 * lengthscale**2)))[inverse]
