@@ -138,7 +138,6 @@ class TestLogMarginalLikelihood:
                 lml_dense_oracle(p, X, y), abs=1e-6
             )
 
-
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         n=st.integers(1, 12),
