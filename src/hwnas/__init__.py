@@ -39,7 +39,6 @@ from .optimize import (
     RunConfig,
     SearchState,
     SpaceExhaustedError,
-    acquisition_score,
     propose_next,
     reevaluate_cross_device,
     run_random,

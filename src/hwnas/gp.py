@@ -223,10 +223,6 @@ class GPModel:
         return float(mean[0]), float(var[0])
 
 
-def predict(model: GPModel, genome: CellGenome) -> tuple[float, float]:
-    return model.predict(genome)
-
-
 def fit(
     X: np.ndarray,
     y_raw: np.ndarray,

@@ -1,7 +1,7 @@
 """Multi-objective search loop: acquisition, proposal, runners, cross-device re-evaluation.
 
 Each iteration proposes one genome (random during warm-up, otherwise the
-argmax of Monte-Carlo expected hypervolume improvement over a candidate
+argmax of closed-form expected hypervolume improvement over a candidate
 pool), measures it with the configured evaluator, appends the record to the
 run log, and refits one GP per objective.  Randomness is re-derived from
 (seed, iteration), so interrupted runs resume to byte-identical logs.
@@ -10,13 +10,13 @@ run log, and refits one GP per objective.  Randomness is re-derived from
 from __future__ import annotations
 
 import os
+import socket
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm, qmc
 
 from . import gp
 from .network import MacroConfig
@@ -80,7 +80,6 @@ class RunConfig:
     evaluator: dict = field(default_factory=lambda: {"type": "synthetic", "profile": "movidius-ncs"})
     log_path: str | None = None
     num_blocks: int = 5
-    mc_samples: int = 64
 
     def __post_init__(self) -> None:
         if not self.budget >= self.n_init >= 1:
@@ -99,7 +98,6 @@ class RunConfig:
             "evaluator": self.evaluator,
             "log_path": self.log_path,
             "num_blocks": self.num_blocks,
-            "mc_samples": self.mc_samples,
         }
 
     @classmethod
@@ -125,7 +123,6 @@ class SearchState:
     num_blocks: int
     n_init: int
     excluded: set[tuple[int, ...]] = field(default_factory=set)
-    mc_samples: int = 64
 
 
 def reference_point(history_values_t: np.ndarray) -> np.ndarray:
@@ -155,31 +152,6 @@ def _fit_models(
     }
 
 
-def acquisition_score(
-    models: dict[str, gp.GPModel],
-    current_pareto: list[EvaluationRecord],
-    candidate: CellGenome,
-    rng: np.random.Generator,
-    mc_samples: int = 64,
-    ref: np.ndarray | None = None,
-) -> float:
-    """Monte-Carlo expected hypervolume improvement of one candidate.
-
-    Objectives are sampled from each GP posterior at the candidate (in
-    model space: error raw, energy/time logged) and the average gain of
-    adding the sample to the current front is returned.
-    """
-    subset = normalize_subset(models.keys())
-    front_t = _front_values_t(current_pareto, subset)
-    if ref is None:
-        if front_t.shape[0] == 0:
-            raise ValueError("an explicit reference point is required with an empty front")
-        ref = reference_point(front_t)
-    feats = gp.featurize(candidate)[None, :]
-    scores = _acquisition_batch(models, subset, front_t, np.asarray(ref, dtype=float), feats, rng, mc_samples)
-    return float(scores[0])
-
-
 def _front_values_t(records: list[EvaluationRecord], subset) -> np.ndarray:
     if not records:
         return np.empty((0, len(subset)))
@@ -192,11 +164,8 @@ def _acquisition_batch(
     front_t: np.ndarray,
     ref: np.ndarray,
     feats: np.ndarray,
-    rng: np.random.Generator,
-    mc_samples: int,
 ) -> np.ndarray:
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be >= 1")
+    """Exact EHVI of each feature row, from the per-objective posteriors (model space)."""
     n = feats.shape[0]
     d = len(subset)
     means = np.empty((n, d))
@@ -205,17 +174,9 @@ def _acquisition_batch(
         mean, var = models[name].predict_features(feats)
         means[:, j] = mean
         stds[:, j] = np.sqrt(var)
-    # One set of normal draws shared across candidates (common random numbers),
-    # from a scrambled Sobol sequence, so the argmax over the pool is not
-    # dominated by integration noise.
-    sobol = qmc.Sobol(d, scramble=True, seed=rng)
-    u = sobol.random(mc_samples)
-    z = norm.ppf(np.clip(u, 1e-12, 1 - 1e-12))
-    samples = means[:, None, :] + stds[:, None, :] * z[None, :, :]
     # Duplicate objective rows add nothing to the union of boxes; dedupe for speed.
     front_unique = np.unique(front_t, axis=0) if front_t.shape[0] else front_t
-    hvi = hypervolume_improvements(front_unique, ref, samples.reshape(n * mc_samples, d))
-    return hvi.reshape(n, mc_samples).mean(axis=1)
+    return hypervolume_improvements(front_unique, ref, means, stds)
 
 
 def _random_unevaluated(
@@ -272,7 +233,7 @@ def propose_next(
     ref = reference_point(history_t)
     front_t = _front_values_t(front, subset)
     feats = gp.featurize_batch(candidates)
-    scores = _acquisition_batch(models, subset, front_t, ref, feats, rng, state.mc_samples)
+    scores = _acquisition_batch(models, subset, front_t, ref, feats)
     return candidates[int(np.argmax(scores))]
 
 
@@ -286,6 +247,7 @@ def _config_fingerprint(config: RunConfig, source: str) -> dict:
         "n_init": config.n_init,
         "objective_subset": list(config.objective_subset),
         "num_blocks": config.num_blocks,
+        "macro": config.macro.to_json_dict(),
         "evaluator": config.evaluator,
         "mode": source,
     }
@@ -297,6 +259,8 @@ def _check_resume(config: RunConfig, records: list[EvaluationRecord], source: st
     meta = records[0].meta
     expected = _config_fingerprint(config, source)
     for key, want in expected.items():
+        if key == "macro" and key not in meta:
+            continue  # written before the macro config joined the fingerprint
         have = meta.get(key)
         if have != want:
             raise ConfigMismatchError(
@@ -306,7 +270,11 @@ def _check_resume(config: RunConfig, records: list[EvaluationRecord], source: st
 
 
 class _LogLock:
-    """Exclusive lock file guarding one run-log path; no-op when logging is off."""
+    """Exclusive lock file guarding one run-log path; no-op when logging is off.
+
+    The file holds its owner as ``pid@host``, so a stale lock can be told
+    apart from a live one.
+    """
 
     def __init__(self, log_path: str | None):
         self.path = Path(str(log_path) + ".lock") if log_path else None
@@ -317,11 +285,21 @@ class _LogLock:
             try:
                 fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             except FileExistsError:
+                try:
+                    owner = self.path.read_text(encoding="utf-8", errors="replace").strip()
+                except OSError:
+                    owner = ""
                 raise LogLockedError(
-                    f"{self.path} exists; another run appears to hold this log "
+                    f"{self.path} is held by {owner or 'an unknown owner'} "
                     "(remove the lock file if that run is dead)"
                 ) from None
-            os.close(fd)
+            try:
+                os.write(fd, f"{os.getpid()}@{socket.gethostname()}\n".encode())
+            except OSError:
+                self.path.unlink()
+                raise
+            finally:
+                os.close(fd)
         return self
 
     def __exit__(self, *exc):
@@ -377,7 +355,6 @@ def _run(
             num_blocks=config.num_blocks,
             n_init=config.n_init,
             excluded=excluded,
-            mc_samples=config.mc_samples,
         )
 
         while len(state.history) < budget:

@@ -1,10 +1,9 @@
 """Fixed-seed searches must reproduce the checked-in run logs byte for byte.
 
-The logs under ``tests/data`` were written by the search before the GP
-likelihood kernel was rewritten, and read the same with one BLAS thread and
-with the default thread count.  A change that claims to preserve behaviour
-must keep them passing; a change to the search on purpose replaces them and
-says so.
+The logs under ``tests/data`` were written by the search with closed-form
+EHVI as its acquisition, and read the same with one BLAS thread and with the
+default thread count.  A change that claims to preserve behaviour must keep
+them passing; a change to the search on purpose replaces them and says so.
 """
 
 from pathlib import Path

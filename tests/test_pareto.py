@@ -177,10 +177,30 @@ class TestBoxesAndImprovements:
                 ref = np.full(d, 1.1)
                 base = hypervolume_values(V, ref)
                 samples = rng.random((10, d)) * 1.2
-                hvi = hypervolume_improvements(V, ref, samples)
-                for k in range(10):
-                    direct = hypervolume_values(np.vstack([V, samples[k]]), ref) - base
-                    assert hvi[k] == pytest.approx(direct, abs=1e-10)
+                for stds in (None, np.zeros_like(samples)):
+                    hvi = hypervolume_improvements(V, ref, samples, stds)
+                    for k in range(10):
+                        direct = hypervolume_values(np.vstack([V, samples[k]]), ref) - base
+                        assert hvi[k] == pytest.approx(direct, abs=1e-10)
+
+    def test_expected_improvement_matches_monte_carlo(self):
+        # Oracle: the mean point gain over Gaussian draws; one axis of the last
+        # candidate has zero spread, so point and Gaussian axes mix.
+        rng = np.random.default_rng(9)
+        n = 100_000
+        for d in (2, 3):
+            for _ in range(3):
+                V = rng.random((int(rng.integers(2, 15)), d))
+                ref = np.full(d, 1.1)
+                means = rng.random((3, d)) * 1.2
+                stds = rng.uniform(0.01, 0.4, (3, d))
+                stds[-1, 0] = 0.0
+                exact = hypervolume_improvements(V, ref, means, stds)
+                for k in range(3):
+                    draws = means[k] + stds[k] * rng.standard_normal((n, d))
+                    gains = hypervolume_improvements(V, ref, draws)
+                    se = gains.std(ddof=1) / np.sqrt(n)
+                    assert abs(exact[k] - gains.mean()) <= 4 * se + 1e-6
 
     def test_empty_front_improvement_is_own_box(self):
         ref = np.array([1.0, 1.0, 1.0])
