@@ -37,6 +37,7 @@ from .records import (
     transform_values,
 )
 from .search_space import (
+    ENUMERATION_CAP,
     CellGenome,
     encode,
     enumerate_genomes,
@@ -49,6 +50,7 @@ Evaluator = Callable[[CellGenome], ObjectiveVector]
 
 POOL_RANDOM = 500
 POOL_MUTATIONS_PER_PARETO = 10
+RANDOM_ATTEMPTS = 200
 EVALUATOR_RETRIES = 3
 
 
@@ -183,15 +185,14 @@ def _random_unevaluated(
     rng: np.random.Generator,
     excluded: set[tuple[int, ...]],
     num_blocks: int,
-    attempts: int = 200,
 ) -> CellGenome:
-    for _ in range(attempts):
+    for _ in range(RANDOM_ATTEMPTS):
         g = random_genome(rng, num_blocks)
         if encode(g) not in excluded:
             return g
     # Small spaces: pick uniformly among the remaining genomes.
     size = search_space_size(num_blocks)
-    if size <= 1_000_000:
+    if size <= ENUMERATION_CAP:
         remaining = [g for g in enumerate_genomes(num_blocks) if encode(g) not in excluded]
         if not remaining:
             raise SpaceExhaustedError(f"all {size} genomes already evaluated")

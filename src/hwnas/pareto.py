@@ -1,13 +1,14 @@
-"""Pareto dominance, non-dominated filtering, and exact hypervolume (2-D/3-D).
+"""Pareto dominance, non-dominated filtering, and exact hypervolume (1-3 objectives).
 
-All objectives are minimized.  Hypervolume of a point set w.r.t. a reference
-point ``ref`` is the Lebesgue measure of the union of boxes [p, ref]; it is
-computed by a staircase sweep in 2-D and by z-slicing in 3-D.  A disjoint box
-decomposition of the dominated region is exposed for vectorized, closed-form
-expected-improvement queries.
+All objectives are minimized.  The region a point set dominates w.r.t. a
+reference point ``ref`` is the union of boxes [p, ref].  One z-sweep splits
+it into disjoint boxes; the hypervolume is the sum of their volumes, and the
+closed-form expected hypervolume improvement is a vectorized sum over them.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 from scipy.special import ndtr
@@ -61,60 +62,69 @@ def _filter_interior(values: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return values[np.all(values < ref, axis=1)]
 
 
-def _staircase_2d(values: np.ndarray) -> np.ndarray:
-    """Strictly improving staircase (x ascending, y descending) of a 2-D point set."""
-    order = np.lexsort((values[:, 1], values[:, 0]))
-    pts = values[order]
-    stairs: list[np.ndarray] = []
-    best_y = np.inf
-    for p in pts:
-        if p[1] < best_y:
-            stairs.append(p)
-            best_y = p[1]
-    return np.array(stairs)
+def dominated_boxes(values: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Disjoint boxes (m, 2, d) whose union is the region dominated by ``values``.
 
-
-def _hv2d(values: np.ndarray, ref: np.ndarray) -> float:
+    Each box is [lower, upper] with upper <= ref componentwise.  Points are
+    padded to three axes (0 below a reference of 1) and swept by increasing
+    z.  The (x, y) staircase of the points seen so far is kept x-sorted; each
+    stair owns an open slab from its x to the next stair's x (or ref), from
+    its y to ref, and from the z where the slab last changed.  A point that
+    enters the staircase closes the slabs it changes at its z: the stairs it
+    removes and its predecessor, whose right edge moves to the new x.  The
+    open slabs are closed at ref at the end (Lacour, Klamroth & Fonseca 2017).
+    """
+    ref = np.asarray(ref, dtype=float)
+    d = ref.shape[0]
+    if not 1 <= d <= 3:
+        raise ValueError(f"box decomposition supports 1-3 objectives, got {d}")
     pts = _filter_interior(values, ref)
-    if pts.shape[0] == 0:
-        return 0.0
-    stairs = _staircase_2d(pts)
-    xs = np.append(stairs[:, 0], ref[0])
-    return float(np.sum((xs[1:] - xs[:-1]) * (ref[1] - stairs[:, 1])))
+    pts = np.hstack([pts, np.zeros((pts.shape[0], 3 - d))])
+    ref_x, ref_y, ref_z = np.append(ref, np.ones(3 - d)).tolist()
+    xs: list[float] = []
+    ys: list[float] = []
+    z_open: list[float] = []
+    boxes: list[tuple] = []
 
+    def close(i: int, z: float) -> None:
+        if z > z_open[i]:
+            x_hi = xs[i + 1] if i + 1 < len(xs) else ref_x
+            boxes.append(((xs[i], ys[i], z_open[i]), (x_hi, ref_y, z)))
 
-def _hv3d(values: np.ndarray, ref: np.ndarray) -> float:
-    pts = _filter_interior(values, ref)
-    if pts.shape[0] == 0:
-        return 0.0
-    z_levels = np.unique(pts[:, 2])
-    hv = 0.0
-    for i, z in enumerate(z_levels):
-        z_next = z_levels[i + 1] if i + 1 < len(z_levels) else ref[2]
-        active = pts[pts[:, 2] <= z]
-        hv += _hv2d(active[:, :2], ref[:2]) * (z_next - z)
-    return hv
+    for x, y, z in pts[np.lexsort((pts[:, 1], pts[:, 0], pts[:, 2]))].tolist():
+        lo = bisect_left(xs, x)
+        if lo < len(xs) and xs[lo] == x:
+            # A stair at this x: unless it is no higher, it is replaced below,
+            # and its predecessor's right edge stays at x.
+            if ys[lo] <= y:
+                continue
+        elif lo and ys[lo - 1] <= y:
+            continue  # covered by the stair to its left
+        elif lo:
+            close(lo - 1, z)  # the predecessor's right edge moves to x
+            z_open[lo - 1] = z
+        hi = lo
+        while hi < len(xs) and ys[hi] >= y:
+            close(hi, z)
+            hi += 1
+        xs[lo:hi], ys[lo:hi], z_open[lo:hi] = [x], [y], [z]
+    for i in range(len(xs)):
+        close(i, ref_z)
+    return np.array(boxes).reshape(-1, 2, 3)[:, :, :d]
 
 
 def hypervolume_values(values: np.ndarray, ref: np.ndarray) -> float:
-    """Hypervolume of raw value rows w.r.t. ``ref`` (1-D trivial, 2-D sweep, 3-D slices)."""
+    """Hypervolume of raw value rows w.r.t. ``ref``: the summed volume of the dominated boxes."""
     values = np.asarray(values, dtype=float)
     ref = np.asarray(ref, dtype=float)
     if values.ndim != 2 or values.shape[1] != ref.shape[0]:
         raise ValueError("values must be (n, d) matching the reference dimension")
-    d = ref.shape[0]
-    if d == 1:
-        pts = _filter_interior(values, ref)
-        return float(ref[0] - pts.min()) if pts.size else 0.0
-    if d == 2:
-        return _hv2d(values, ref)
-    if d == 3:
-        return _hv3d(values, ref)
-    raise ValueError(f"hypervolume supports 1-3 objectives, got {d}")
+    boxes = dominated_boxes(values, ref)
+    return float(np.sum(np.prod(boxes[:, 1] - boxes[:, 0], axis=1)))
 
 
 def hypervolume(points: list[ObjectiveVector], ref: ObjectiveVector, subset=None) -> float:
-    """Hypervolume of objective vectors over the chosen subset (size 2 or 3).
+    """Hypervolume of objective vectors over the chosen subset (size 1 to 3).
 
     Points that do not strictly dominate the reference are excluded, not errors.
     """
@@ -122,55 +132,6 @@ def hypervolume(points: list[ObjectiveVector], ref: ObjectiveVector, subset=None
     ref_v = np.asarray(ref.values(sel), dtype=float)
     vals = np.array([p.values(sel) for p in points], dtype=float).reshape(len(points), len(sel))
     return hypervolume_values(vals, ref_v)
-
-
-def _staircase_rects(pts2: np.ndarray, ref2: np.ndarray) -> set[tuple[float, float, float]]:
-    """Disjoint x-slabs (x_lo, y_lo, x_hi) covering the 2-D dominated region."""
-    stairs = _staircase_2d(pts2)
-    xs = np.append(stairs[:, 0], ref2[0])
-    return {(float(x), float(y), float(xs[i + 1])) for i, (x, y) in enumerate(stairs)}
-
-
-def dominated_boxes(values: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Disjoint boxes (m, 2, d) whose union is the region dominated by ``values``.
-
-    Each box is [lower, upper] with upper <= ref componentwise.  2-D uses the
-    staircase directly.  3-D sweeps z-levels and extends each staircase slab
-    across consecutive levels while it survives unchanged, so the box count
-    stays near-linear in the number of points.
-    """
-    values = np.asarray(values, dtype=float)
-    ref = np.asarray(ref, dtype=float)
-    d = ref.shape[0]
-    pts = _filter_interior(values, ref)
-    if pts.shape[0] == 0:
-        return np.empty((0, 2, d))
-    if d == 1:
-        return np.array([[[pts.min()], [ref[0]]]])
-    if d == 2:
-        return np.array([[[x, y], [x_hi, ref[1]]] for x, y, x_hi in _staircase_rects(pts, ref)])
-    if d == 3:
-        order = np.argsort(pts[:, 2], kind="stable")
-        pts = pts[order]
-        z_levels = np.unique(pts[:, 2])
-        open_rects: dict[tuple[float, float, float], float] = {}
-        boxes: list[list[list[float]]] = []
-
-        def close(rect, z_end):
-            z_start = open_rects.pop(rect)
-            x, y, x_hi = rect
-            boxes.append([[x, y, z_start], [x_hi, ref[1], z_end]])
-
-        for z in z_levels:
-            rects = _staircase_rects(pts[pts[:, 2] <= z, :2], ref[:2])
-            for rect in [r for r in open_rects if r not in rects]:
-                close(rect, z)
-            for rect in rects:
-                open_rects.setdefault(rect, z)
-        for rect in list(open_rects):
-            close(rect, float(ref[2]))
-        return np.array(boxes)
-    raise ValueError(f"dominated_boxes supports 1-3 objectives, got {d}")
 
 
 def _expected_shortfall(a: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:

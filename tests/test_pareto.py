@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwnas.pareto import (
     dominated_boxes,
@@ -35,6 +37,44 @@ def brute_force_front(values):
     lt = np.any(V[:, None, :] < V[None, :, :], axis=2)
     dominated = np.any(le & lt, axis=0)
     return ~dominated
+
+
+def grid_hypervolume(values, d, k):
+    """Exact oracle on integer grids with reference k on every axis.
+
+    The count of unit cells c in {0..k-1}^d that some point p <= c covers.
+    """
+    V = np.asarray(values, dtype=float).reshape(-1, d)
+    cells = np.indices((k,) * d).reshape(d, -1).T
+    return int(np.any(np.all(V[None, :, :] <= cells[:, None, :], axis=2), axis=1).sum())
+
+
+def assert_maximal_stair_slabs(values, boxes):
+    """Each box is the slab of one (x, y) stair, on three axes padded with 0 below 1.
+
+    No point below the box's top in z weakly dominates its lower (x, y) corner
+    unless it is that corner, and no two boxes of one slab touch in z (they
+    would be one box).
+    """
+    d = boxes.shape[2]
+    pts = np.hstack([values, np.zeros((len(values), 3 - d))])
+    lo = np.hstack([boxes[:, 0], np.zeros((len(boxes), 3 - d))])
+    hi = np.hstack([boxes[:, 1], np.ones((len(boxes), 3 - d))])
+    below = pts[None, :, 2] < hi[:, None, 2]
+    covers = np.all(pts[None, :, :2] <= lo[:, None, :2], axis=2)
+    elsewhere = np.any(pts[None, :, :2] != lo[:, None, :2], axis=2)
+    assert not np.any(below & covers & elsewhere)
+    same_slab = np.all(lo[:, None, :2] == lo[None, :, :2], axis=2) & np.all(hi[:, None, :2] == hi[None, :, :2], axis=2)
+    assert not np.any(same_slab & (hi[:, None, 2] == lo[None, :, 2]))
+
+
+@st.composite
+def grid_fronts(draw):
+    """(values, k): up to 10 integer rows in {0..k+1}^d, d = 1..3, reference k."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, k + 1), min_size=d, max_size=d), max_size=10))
+    return np.array(rows, dtype=float).reshape(len(rows), d), k
 
 
 class TestDominates:
@@ -162,12 +202,27 @@ class TestBoxesAndImprovements:
     def test_boxes_are_disjoint_and_sum_to_hv(self):
         rng = np.random.default_rng(7)
         for d in (1, 2, 3):
-            for _ in range(30):
-                V = rng.random((int(rng.integers(1, 25)), d))
-                ref = np.full(d, 1.2)
+            for trial in range(60):
+                n = int(rng.integers(0, 25))
+                if trial % 2:
+                    k = int(rng.integers(1, 6))
+                    V = rng.integers(0, k + 2, size=(n, d)).astype(float)
+                    ref = np.full(d, float(k))
+                else:
+                    V = rng.random((n, d))
+                    ref = np.full(d, 1.2)
                 boxes = dominated_boxes(V, ref)
-                vol = float(np.sum(np.prod(boxes[:, 1, :] - boxes[:, 0, :], axis=1))) if len(boxes) else 0.0
-                assert vol == pytest.approx(hypervolume_values(V, ref), abs=1e-10)
+                assert boxes.shape == (boxes.shape[0], 2, d)
+                assert np.all(boxes[:, 0] < boxes[:, 1]) and np.all(boxes[:, 1] <= ref)
+                lo = np.maximum(boxes[:, None, 0], boxes[None, :, 0])
+                hi = np.minimum(boxes[:, None, 1], boxes[None, :, 1])
+                overlap = np.prod(np.clip(hi - lo, 0.0, None), axis=2)
+                np.fill_diagonal(overlap, 0.0)
+                assert not overlap.any()
+                assert_maximal_stair_slabs(V, boxes)
+                if trial % 2:
+                    vol = np.sum(np.prod(boxes[:, 1] - boxes[:, 0], axis=1))
+                    assert vol == grid_hypervolume(V, d, k)
 
     def test_improvement_matches_direct_difference(self):
         rng = np.random.default_rng(8)
@@ -208,3 +263,52 @@ class TestBoxesAndImprovements:
         hvi = hypervolume_improvements(np.empty((0, 3)), ref, samples)
         assert hvi[0] == pytest.approx(0.125)
         assert hvi[1] == pytest.approx(0.0)
+
+
+class TestGridProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(front=grid_fronts())
+    def test_hypervolume_matches_grid_count(self, front):
+        V, k = front
+        d = V.shape[1]
+        assert hypervolume_values(V, np.full(d, float(k))) == grid_hypervolume(V, d, k)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(front=grid_fronts(), data=st.data())
+    def test_bit_identical_under_permutation_and_redundant_rows(self, front, data):
+        V, k = front
+        n, d = V.shape
+        ref = np.full(d, float(k))
+        base = hypervolume_values(V, ref)
+        perm = data.draw(st.permutations(range(n)))
+        assert hypervolume_values(V[list(perm)], ref) == base
+        if n:
+            picks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5))
+            shifts = data.draw(
+                st.lists(st.lists(st.integers(0, 2), min_size=d, max_size=d), min_size=len(picks), max_size=len(picks))
+            )
+            redundant = V[picks] + np.array(shifts, dtype=float)
+            assert hypervolume_values(np.vstack([V, redundant]), ref) == base
+            assert hypervolume_values(np.vstack([redundant, V[::-1]]), ref) == base
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(front=grid_fronts(), data=st.data())
+    def test_point_gain_matches_grid_oracle(self, front, data):
+        V, k = front
+        d = V.shape[1]
+        rows = data.draw(st.lists(st.lists(st.integers(0, k + 1), min_size=d, max_size=d), min_size=1, max_size=4))
+        means = np.array(rows, dtype=float)
+        hvi = hypervolume_improvements(V, np.full(d, float(k)), means, np.zeros_like(means))
+        base = grid_hypervolume(V, d, k)
+        expected = [grid_hypervolume(np.vstack([V, m]), d, k) - base for m in means]
+        assert hvi.tolist() == expected
+
+    @pytest.mark.parametrize("n", [0, 2])
+    @pytest.mark.parametrize("d", [0, 4])
+    def test_unsupported_dimension_rejected(self, d, n):
+        V = np.zeros((n, d))
+        ref = np.ones(d)
+        with pytest.raises(ValueError):
+            dominated_boxes(V, ref)
+        with pytest.raises(ValueError):
+            hypervolume_values(V, ref)
