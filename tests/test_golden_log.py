@@ -31,6 +31,13 @@ GOLDEN = {
         objective_subset=("error", "time"),
         evaluator={"type": "synthetic", "profile": "movidius-ncs"},
     ),
+    "b5_three.jsonl": dict(
+        seed=0,
+        budget=30,
+        n_init=10,
+        num_blocks=5,
+        evaluator={"type": "synthetic", "profile": "movidius-ncs"},
+    ),
 }
 
 
