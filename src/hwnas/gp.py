@@ -1,10 +1,16 @@
 """Gaussian-process regression surrogate over one-hot genome features.
 
 One GP is fit per objective.  The kernel is squared-exponential with a single
-shared lengthscale over a one-hot expansion of the encoded genome (which on
-binary features is a monotone transform of Hamming distance).  Hyperparameters
-maximize the log marginal likelihood via a seeded multi-start bounded
-derivative-free search.
+shared lengthscale over a one-hot expansion of the encoded genome.  On those
+features the squared distance of two genomes is twice the Hamming distance of
+their encodings and takes at most ``4 * nb + 1`` values, so covariances are
+built from a (unique values, index) distance table: each model exponentiates
+the unique values and gathers them.  The search loop builds one table of the
+candidate pool against the training rows straight from the integer codes
+(:func:`hamming_table`) and shares it between the objectives
+(:meth:`GPModel.predict_table`); :meth:`GPModel.predict_features` is the same
+posterior for any real-valued feature rows.  Hyperparameters maximize the log
+marginal likelihood via a seeded multi-start bounded derivative-free search.
 """
 
 from __future__ import annotations
@@ -16,12 +22,7 @@ from scipy.linalg import get_lapack_funcs, solve_triangular
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
-from .search_space import (
-    NUM_OPERATIONS,
-    CellGenome,
-    encode,
-    input_bound,
-)
+from .search_space import FIELDS_PER_BLOCK, CellGenome, encode, radices
 
 # Jitter ladder tried when the covariance factorization fails.
 _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
@@ -35,25 +36,51 @@ class GPError(RuntimeError):
 
 
 def feature_dim(num_blocks: int) -> int:
-    return sum(2 * input_bound(b) for b in range(num_blocks)) + 2 * NUM_OPERATIONS * num_blocks
+    return int(radices(num_blocks).sum())
 
 
-def featurize(genome: CellGenome) -> np.ndarray:
-    """One-hot expansion of the encoded genome; exactly one 1 per field.
+def _field_offsets(num_blocks: int) -> np.ndarray:
+    """First feature column of each encoded position."""
+    widths = radices(num_blocks)
+    return np.cumsum(widths) - widths
+
+
+def featurize_codes(codes: np.ndarray) -> np.ndarray:
+    """One-hot rows of a (k, 4 nb) matrix of valid encoded genomes; exactly one 1 per field.
 
     Layout is block-major: per block, input1 over its legal set, input2,
     then the two operation fields over the 8 codes.  5 blocks give 120 dims.
     """
-    vec = encode(genome)
-    out = np.zeros(feature_dim(genome.num_blocks))
-    offset = 0
-    for b in range(genome.num_blocks):
-        i1, i2, o1, o2 = vec[4 * b : 4 * b + 4]
-        bound = input_bound(b)
-        for width, value in ((bound, i1), (bound, i2), (NUM_OPERATIONS, o1), (NUM_OPERATIONS, o2)):
-            out[offset + value] = 1.0
-            offset += width
+    codes = np.atleast_2d(codes)
+    num_blocks = codes.shape[1] // FIELDS_PER_BLOCK
+    out = np.zeros((codes.shape[0], feature_dim(num_blocks)))
+    np.put_along_axis(out, _field_offsets(num_blocks) + codes, 1.0, axis=1)
     return out
+
+
+def feature_codes(X: np.ndarray) -> np.ndarray:
+    """Encoded genomes of one-hot feature rows: the inverse of :func:`featurize_codes`.
+
+    Raises ``ValueError`` when some row is not the features of a genome.
+    """
+    X = np.atleast_2d(X)
+    n, dim = X.shape
+    num_blocks = 1
+    while feature_dim(num_blocks) < dim:
+        num_blocks += 1
+    rows, cols = np.nonzero(X)
+    if feature_dim(num_blocks) == dim and cols.size == n * FIELDS_PER_BLOCK * num_blocks:
+        codes = cols.reshape(n, -1) - _field_offsets(num_blocks)
+        if np.all((codes >= 0) & (codes < radices(num_blocks))) and np.array_equal(
+            featurize_codes(codes), X
+        ):
+            return codes
+    raise ValueError("feature rows are not the one-hot features of genomes")
+
+
+def featurize(genome: CellGenome) -> np.ndarray:
+    """One-hot expansion of the encoded genome (see :func:`featurize_codes`)."""
+    return featurize_codes(np.array([encode(genome)]))[0]
 
 
 def featurize_batch(genomes: list[CellGenome]) -> np.ndarray:
@@ -62,7 +89,7 @@ def featurize_batch(genomes: list[CellGenome]) -> np.ndarray:
     nb = genomes[0].num_blocks
     if any(g.num_blocks != nb for g in genomes):
         raise ValueError("all genomes in a batch must have the same block count")
-    return np.stack([featurize(g) for g in genomes])
+    return featurize_codes(np.array([encode(g) for g in genomes]))
 
 
 @dataclass(frozen=True)
@@ -110,6 +137,11 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     return L
 
 
+def _table(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    uniq, inverse = np.unique(sq, return_inverse=True)
+    return uniq, inverse.reshape(sq.shape)
+
+
 def distance_table(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise squared distances of ``X`` as (unique values, (n, n) index into them).
 
@@ -117,9 +149,35 @@ def distance_table(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     built by exponentiating the unique values and gathering them, not by
     exponentiating all n^2 entries.
     """
-    sq = cdist(X, X, metric="sqeuclidean")
-    uniq, inverse = np.unique(sq, return_inverse=True)
-    return uniq, inverse.reshape(sq.shape)
+    return _table(cdist(X, X, metric="sqeuclidean"))
+
+
+def hamming_table(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared feature distances of encoded genomes ``A`` to ``B`` as (unique values, index).
+
+    Equal to ``np.unique(cdist(featurize_codes(A), featurize_codes(B),
+    "sqeuclidean"), return_inverse=True)``, since on one-hot features that
+    distance is twice the Hamming distance of the codes.  The mismatches are
+    counted one field at a time, so no (len(A), len(B), fields) array is built.
+    """
+    A = np.atleast_2d(A)
+    B = np.atleast_2d(B)
+    fields = A.shape[1]
+    if B.shape[1] != fields:
+        raise ValueError(f"code length mismatch: {fields} vs {B.shape[1]}")
+    if min(A.min(initial=0), B.min(initial=0)) < 0:
+        raise ValueError("codes must be non-negative")
+    # Equality survives the cast to the narrowest type that holds the codes,
+    # and narrow contiguous columns compare several times faster.
+    width = np.min_scalar_type(max(A.max(initial=0), B.max(initial=0)))
+    hamming = np.zeros((A.shape[0], B.shape[0]), dtype=np.min_scalar_type(fields))
+    differs = np.empty(hamming.shape, dtype=bool)
+    for a, b in zip(A.T.astype(width, order="C"), B.T.astype(width, order="C")):
+        np.not_equal(a[:, None], b, out=differs)
+        hamming += differs
+    present = np.bincount(hamming.ravel(), minlength=fields + 1) > 0
+    rank = (np.cumsum(present) - 1).astype(hamming.dtype)
+    return 2.0 * np.flatnonzero(present), rank[hamming]
 
 
 def _factor(
@@ -205,10 +263,16 @@ class GPModel:
     def n(self) -> int:
         return self.X.shape[0]
 
-    def predict_features(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and variance (de-standardized, variance clamped at 0)."""
-        F = np.atleast_2d(np.asarray(F, dtype=float))
-        k_star = kernel_matrix(F, self.X, self.params)
+    def predict_table(self, table: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and variance (de-standardized, variance clamped at 0).
+
+        ``table`` holds the squared distances of the m test rows to the n
+        training rows as (unique values, (m, n) index), as
+        :func:`hamming_table` gives; the objectives share one table.
+        """
+        uniq, index = table
+        p = self.params
+        k_star = (p.signal_variance * np.exp(-uniq / (2.0 * p.lengthscale**2)))[index]
         mean = k_star @ self.alpha
         v = solve_triangular(self.L, k_star.T, lower=True, check_finite=False)
         var = self.params.signal_variance - np.sum(v**2, axis=0)
@@ -217,6 +281,11 @@ class GPModel:
             self.target_mean + self.target_std * mean,
             self.target_std**2 * var,
         )
+
+    def predict_features(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and variance at the feature rows ``F`` (see :meth:`predict_table`)."""
+        F = np.atleast_2d(np.asarray(F, dtype=float))
+        return self.predict_table(_table(cdist(F, self.X, metric="sqeuclidean")))
 
     def predict(self, genome: CellGenome) -> tuple[float, float]:
         mean, var = self.predict_features(featurize(genome)[None, :])

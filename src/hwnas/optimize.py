@@ -38,10 +38,13 @@ from .records import (
 )
 from .search_space import (
     ENUMERATION_CAP,
+    FIELDS_PER_BLOCK,
     CellGenome,
+    decode,
     encode,
     enumerate_genomes,
     mutate,
+    random_codes,
     random_genome,
     search_space_size,
 )
@@ -84,6 +87,12 @@ class RunConfig:
     num_blocks: int = 5
 
     def __post_init__(self) -> None:
+        for name in ("seed", "budget", "n_init", "num_blocks"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.budget >= self.n_init >= 1:
             raise ValueError(f"need budget >= n_init >= 1, got {self.budget} / {self.n_init}")
         if self.num_blocks < 1:
@@ -117,7 +126,11 @@ class RunConfig:
 
 @dataclass
 class SearchState:
-    """Mutable loop state shared with the proposal step."""
+    """Mutable loop state shared with the proposal step.
+
+    ``history`` only grows; :meth:`history_codes` keeps its encodings as an
+    int matrix, encoding each record once.
+    """
 
     history: list[EvaluationRecord]
     budget: int
@@ -125,6 +138,17 @@ class SearchState:
     num_blocks: int
     n_init: int
     excluded: set[tuple[int, ...]] = field(default_factory=set)
+    _codes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._codes = np.empty((0, FIELDS_PER_BLOCK * self.num_blocks), dtype=np.int64)
+
+    def history_codes(self) -> np.ndarray:
+        """(len(history), 4 nb) matrix of the history's encoded genomes, in history order."""
+        new = self.history[len(self._codes) :]
+        if new:
+            self._codes = np.vstack([self._codes, [encode(r.genome) for r in new]])
+        return self._codes
 
 
 def reference_point(history_values_t: np.ndarray) -> np.ndarray:
@@ -165,15 +189,23 @@ def _acquisition_batch(
     subset: tuple[str, ...],
     front_t: np.ndarray,
     ref: np.ndarray,
-    feats: np.ndarray,
+    codes: np.ndarray,
 ) -> np.ndarray:
-    """Exact EHVI of each feature row, from the per-objective posteriors (model space)."""
-    n = feats.shape[0]
+    """Exact EHVI of each encoded genome, from the per-objective posteriors (model space).
+
+    The distances of the candidates to a model's training rows are one
+    Hamming table, shared by every model trained on the same rows.
+    """
+    n = codes.shape[0]
     d = len(subset)
     means = np.empty((n, d))
     stds = np.empty((n, d))
+    tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for j, name in enumerate(subset):
-        mean, var = models[name].predict_features(feats)
+        model = models[name]
+        if id(model.X) not in tables:
+            tables[id(model.X)] = gp.hamming_table(codes, gp.feature_codes(model.X))
+        mean, var = model.predict_table(tables[id(model.X)])
         means[:, j] = mean
         stds[:, j] = np.sqrt(var)
     # Duplicate objective rows add nothing to the union of boxes; dedupe for speed.
@@ -218,24 +250,22 @@ def propose_next(
 
     subset = state.objective_subset
     front = pareto_filter(state.history, subset)
-    pool: dict[tuple[int, ...], CellGenome] = {}
-    for _ in range(POOL_RANDOM):
-        g = random_genome(rng, state.num_blocks)
-        pool.setdefault(encode(g), g)
-    for rec in front:
-        for _ in range(POOL_MUTATIONS_PER_PARETO):
-            g = mutate(rec.genome, rng, num_fields=1)
-            pool.setdefault(encode(g), g)
-    candidates = [g for enc, g in sorted(pool.items()) if enc not in state.excluded]
-    if not candidates:
+    on_front = {id(r) for r in front}
+    history_codes = state.history_codes()
+    parents = [history_codes[i] for i, r in enumerate(state.history) if id(r) in on_front]
+    pool = [random_codes(rng, state.num_blocks, POOL_RANDOM)]
+    pool += [mutate(p, rng, num_fields=1) for p in parents for _ in range(POOL_MUTATIONS_PER_PARETO)]
+    # np.unique sorts the rows lexicographically, as sorting the encoding tuples would.
+    pool = np.unique(np.vstack(pool), axis=0)
+    candidates = pool[[enc not in state.excluded for enc in map(tuple, pool.tolist())]]
+    if not len(candidates):
         return _random_unevaluated(rng, state.excluded, state.num_blocks)
 
     history_t = _front_values_t(state.history, subset)
     ref = reference_point(history_t)
     front_t = _front_values_t(front, subset)
-    feats = gp.featurize_batch(candidates)
-    scores = _acquisition_batch(models, subset, front_t, ref, feats)
-    return candidates[int(np.argmax(scores))]
+    scores = _acquisition_batch(models, subset, front_t, ref, candidates)
+    return decode(candidates[int(np.argmax(scores))], state.num_blocks)
 
 
 def _device_name(evaluator_spec: dict) -> str:

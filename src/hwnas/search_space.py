@@ -4,7 +4,13 @@ A cell is a small convolutional subgraph described by a sequence of building
 blocks.  Block ``b`` picks two inputs among {previous cell output (0),
 cell-before-that output (1), outputs of earlier blocks in this cell (2+j for
 block j)} and applies one operation to each; the results are summed.  A
-genome with ``nb`` blocks therefore encodes to ``4 * nb`` integers.
+genome with ``nb`` blocks therefore encodes to ``4 * nb`` integers, position
+``i`` ranging over ``radices(nb)[i]`` values.
+
+The search loop samples and mutates these integer codes directly
+(:func:`random_codes`, :func:`mutate`); :class:`CellGenome` is the validated
+form used at the JSON, CLI and evaluator boundary, converted with
+:func:`encode` and :func:`decode`.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -148,22 +155,32 @@ def _require_valid(genome: CellGenome) -> None:
         raise GenomeError("; ".join(violations))
 
 
-def random_genome(rng: np.random.Generator, num_blocks: int = NUM_BLOCKS) -> CellGenome:
-    """Sample every field uniformly at random over its legal set."""
+@lru_cache
+def radices(num_blocks: int) -> np.ndarray:
+    """Number of legal values of each encoded position (read-only, block-major)."""
     if num_blocks < 1:
         raise ValueError("num_blocks must be >= 1")
-    blocks = []
-    for b in range(num_blocks):
-        bound = input_bound(b)
-        blocks.append(
-            BlockSpec(
-                int(rng.integers(bound)),
-                int(rng.integers(bound)),
-                Operation(int(rng.integers(NUM_OPERATIONS))),
-                Operation(int(rng.integers(NUM_OPERATIONS))),
-            )
-        )
-    return CellGenome(tuple(blocks))
+    out = np.array(
+        [r for b in range(num_blocks) for r in (input_bound(b),) * 2 + (NUM_OPERATIONS,) * 2],
+        dtype=np.int64,
+    )
+    out.flags.writeable = False
+    return out
+
+
+def random_codes(rng: np.random.Generator, num_blocks: int, count: int) -> np.ndarray:
+    """``count`` encoded genomes, every field uniform over its legal set, as a (count, 4 nb) matrix.
+
+    One vectorized draw; it consumes the generator exactly as ``count``
+    successive :func:`random_genome` calls do.
+    """
+    limits = radices(num_blocks)
+    return rng.integers(np.tile(limits, count)).reshape(count, limits.size)
+
+
+def random_genome(rng: np.random.Generator, num_blocks: int = NUM_BLOCKS) -> CellGenome:
+    """Sample every field uniformly at random over its legal set."""
+    return decode(random_codes(rng, num_blocks, 1)[0], num_blocks)
 
 
 def encode(genome: CellGenome) -> tuple[int, ...]:
@@ -241,18 +258,20 @@ def unused_block_outputs(genome: CellGenome) -> set[int]:
     return set(range(genome.num_blocks)) - used
 
 
-def mutate(genome: CellGenome, rng: np.random.Generator, num_fields: int) -> CellGenome:
-    """Resample ``num_fields`` distinct encoded positions uniformly over their legal sets.
+def mutate(codes, rng: np.random.Generator, num_fields: int) -> np.ndarray:
+    """Copy of the encoded genome ``codes`` with ``num_fields`` distinct positions resampled.
 
-    The result can coincide with the input when a resampled field draws its
-    old value, so the encoding Hamming distance is at most ``num_fields``.
+    Each chosen position is drawn uniformly over its legal set, so the result
+    can coincide with the input and the Hamming distance is at most
+    ``num_fields``.  ``codes`` must be a valid encoding; a genome is mutated
+    as ``decode(mutate(encode(genome), rng, k))``.
     """
-    vec = list(encode(genome))
-    if not 1 <= num_fields <= len(vec):
-        raise ValueError(f"num_fields must be in 1..{len(vec)}, got {num_fields}")
-    positions = rng.choice(len(vec), size=num_fields, replace=False)
-    for pos in sorted(int(p) for p in positions):
-        block, slot = divmod(pos, FIELDS_PER_BLOCK)
-        limit = input_bound(block) if slot < 2 else NUM_OPERATIONS
-        vec[pos] = int(rng.integers(limit))
-    return decode(vec, genome.num_blocks)
+    out = np.array(codes, dtype=np.int64)
+    if out.ndim != 1 or out.size == 0 or out.size % FIELDS_PER_BLOCK:
+        raise GenomeError(f"encoded genome length {out.size} is not a positive multiple of 4")
+    if not 1 <= num_fields <= out.size:
+        raise ValueError(f"num_fields must be in 1..{out.size}, got {num_fields}")
+    limits = radices(out.size // FIELDS_PER_BLOCK)
+    for pos in sorted(rng.choice(out.size, size=num_fields, replace=False).tolist()):
+        out[pos] = rng.integers(limits[pos])
+    return out

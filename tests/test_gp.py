@@ -11,14 +11,17 @@ from hwnas.gp import (
     KernelParams,
     cholesky,
     feature_dim,
+    feature_codes,
     featurize,
     featurize_batch,
+    featurize_codes,
     fit,
+    hamming_table,
     kernel,
     kernel_matrix,
     log_marginal_likelihood,
 )
-from hwnas.search_space import Operation, decode, encode, random_genome
+from hwnas.search_space import Operation, decode, encode, random_codes, random_genome
 
 from test_search_space import all_identity_genome
 
@@ -293,3 +296,72 @@ class TestFactorization:
         m = GPModel(X, y, KernelParams(1.5, 1.0, 0.01))
         K = kernel_matrix(m.X, m.X, m.params) + m.params.noise_variance * np.eye(12)
         assert np.max(np.abs(m.L @ m.L.T - K)) < 1e-8
+
+
+BLOCK_COUNTS = st.sampled_from([1, 2, 5])
+
+
+def code_sets(rng, nb, m, n):
+    """Pool-like rows ``a`` (some copied from ``b``) and training-like rows ``b``."""
+    b = random_codes(rng, nb, n)
+    a = random_codes(rng, nb, m)
+    copies = rng.integers(0, 2, size=m).astype(bool)
+    a[copies] = b[rng.integers(n, size=int(copies.sum()))]
+    return a, b
+
+
+def genomes_of(codes):
+    return [decode(row) for row in codes]
+
+
+class TestIntegerCodePath:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(nb=BLOCK_COUNTS, n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_codes_and_features_round_trip(self, nb, n, seed):
+        codes = random_codes(np.random.default_rng(seed), nb, n)
+        X = featurize_codes(codes)
+        assert np.array_equal(X, featurize_batch(genomes_of(codes)))
+        assert np.array_equal(feature_codes(X), codes)
+
+    def test_feature_codes_rejects_other_rows(self):
+        X = featurize_codes(random_codes(np.random.default_rng(0), 2, 4))
+        for bad in (X[:, :-1], 0.5 * X, np.roll(X, 1, axis=1), np.ones_like(X)):
+            with pytest.raises(ValueError):
+                feature_codes(bad)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        nb=BLOCK_COUNTS,
+        m=st.integers(1, 40),
+        n=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hamming_table_is_the_unique_cdist_table(self, nb, m, n, seed):
+        a, b = code_sets(np.random.default_rng(seed), nb, m, n)
+        sq = cdist(featurize_batch(genomes_of(a)), featurize_batch(genomes_of(b)), "sqeuclidean")
+        uniq, inverse = np.unique(sq, return_inverse=True)
+        table = hamming_table(a, b)
+        assert table[0].tobytes() == uniq.tobytes()
+        assert np.array_equal(table[1], inverse.reshape(sq.shape))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        nb=BLOCK_COUNTS,
+        m=st.integers(1, 40),
+        n=st.integers(2, 30),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shared_table_posterior_is_predict_features(self, nb, m, n, data, seed):
+        rng = np.random.default_rng(seed)
+        pool, history = code_sets(rng, nb, m, n)
+        # Models trained on a subset of the rows, as a caller may fit on part of a history.
+        train = history[: data.draw(st.integers(1, n))]
+        X = featurize_codes(train)
+        params = KernelParams(*np.exp(rng.uniform([-1.0, -2.0, -6.0], [2.0, 1.0, 0.0])))
+        models = [GPModel(X, rng.normal(size=len(train)), params) for _ in range(3)]
+        table = hamming_table(pool, feature_codes(X))
+        F = featurize_batch(genomes_of(pool))
+        for model in models:
+            for got, want in zip(model.predict_table(table), model.predict_features(F)):
+                assert got.tobytes() == want.tobytes()

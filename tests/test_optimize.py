@@ -128,8 +128,8 @@ def ehvi_of(models, front, candidate, ref=None):
     front_t = _front_values_t(front, subset)
     if ref is None:
         ref = reference_point(front_t)
-    feats = featurize_batch([candidate])
-    return float(_acquisition_batch(models, subset, front_t, ref, feats)[0])
+    codes = np.array([encode(candidate)])
+    return float(_acquisition_batch(models, subset, front_t, ref, codes)[0])
 
 
 class TestAcquisition:
@@ -566,6 +566,25 @@ class TestRunConfig:
             RunConfig(budget=5, n_init=6)
         with pytest.raises(ValueError):
             RunConfig(budget=5, n_init=0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": True},
+            {"seed": np.int64(1)},
+            {"budget": 20.0},
+            {"n_init": "4"},
+            {"num_blocks": 2.0},
+            {"num_blocks": False},
+        ],
+    )
+    def test_non_int_or_negative_seed_rejected_at_load(self, bad):
+        with pytest.raises(ValueError):
+            RunConfig(**{"seed": 3, "budget": 20, "n_init": 4, **bad})
+        with pytest.raises(ValueError):
+            RunConfig.from_json_dict({"seed": 3, "budget": 20, "n_init": 4, **bad})
 
     def test_json_round_trip(self):
         cfg = RunConfig(seed=3, budget=20, n_init=4, objective_subset=("time", "error"))

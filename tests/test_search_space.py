@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwnas.search_space import (
     ENUMERATION_CAP,
+    NUM_OPERATIONS,
     BlockSpec,
     CellGenome,
     GenomeError,
@@ -12,6 +15,8 @@ from hwnas.search_space import (
     enumerate_genomes,
     input_bound,
     mutate,
+    radices,
+    random_codes,
     random_genome,
     search_space_size,
     unused_block_outputs,
@@ -200,13 +205,13 @@ class TestUnusedOutputs:
 class TestMutate:
     def test_zero_fields_rejected(self):
         with pytest.raises(ValueError):
-            mutate(all_identity_genome(), np.random.default_rng(0), 0)
+            mutate(encode(all_identity_genome()), np.random.default_rng(0), 0)
 
     def test_single_field_hamming_at_most_one(self):
         rng = np.random.default_rng(21)
         base = all_identity_genome()
         for _ in range(200):
-            out = mutate(base, rng, 1)
+            out = decode(mutate(encode(base), rng, 1))
             distance = sum(a != b for a, b in zip(encode(base), encode(out)))
             assert distance <= 1
 
@@ -215,6 +220,65 @@ class TestMutate:
         g = random_genome(rng)
         for _ in range(1000):
             n = int(rng.integers(1, 21))
-            g2 = mutate(g, rng, n)
+            g2 = decode(mutate(encode(g), rng, n))
             assert validate_genome(g2) == []
             assert sum(a != b for a, b in zip(encode(g), encode(g2))) <= n
+
+    def test_non_encoding_rejected(self):
+        with pytest.raises(GenomeError):
+            mutate([0, 1, 1], np.random.default_rng(0), 1)
+
+
+BLOCK_COUNTS = st.sampled_from([1, 2, 5])
+
+
+def scalar_draw(rng, nb):
+    """Reference: one genome drawn field by field with scalar draws, in encoding order."""
+    out = []
+    for b in range(nb):
+        bound = input_bound(b)
+        out += [int(rng.integers(bound)), int(rng.integers(bound))]
+        out += [int(rng.integers(NUM_OPERATIONS)), int(rng.integers(NUM_OPERATIONS))]
+    return tuple(out)
+
+
+def scalar_mutate(vec, rng, k):
+    """Reference: the per-field mutation loop on a list of Python ints."""
+    vec = list(vec)
+    for pos in sorted(int(p) for p in rng.choice(len(vec), size=k, replace=False)):
+        block, slot = divmod(pos, 4)
+        vec[pos] = int(rng.integers(input_bound(block) if slot < 2 else NUM_OPERATIONS))
+    return tuple(vec)
+
+
+class TestIntegerCodes:
+    def test_radices_of_two_blocks(self):
+        assert radices(2).tolist() == [2, 2, 8, 8, 3, 3, 8, 8]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(nb=BLOCK_COUNTS, count=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+    def test_random_codes_are_successive_random_genomes(self, nb, count, seed):
+        a, b, c = (np.random.default_rng(seed) for _ in range(3))
+        codes = random_codes(a, nb, count)
+        assert codes.shape == (count, 4 * nb)
+        rows = [tuple(row) for row in codes.tolist()]
+        assert rows == [encode(random_genome(b, nb)) for _ in range(count)]
+        assert rows == [scalar_draw(c, nb) for _ in range(count)]
+        assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(nb=BLOCK_COUNTS, data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_mutate_changes_at_most_num_fields_within_radices(self, nb, data, seed):
+        rng = np.random.default_rng(seed)
+        codes = random_codes(rng, nb, 1)[0]
+        k = data.draw(st.integers(1, 4 * nb))
+        state = rng.bit_generator.state
+        out = mutate(codes, rng, k)
+        assert out.shape == codes.shape
+        assert np.count_nonzero(out != codes) <= k
+        assert np.all((out >= 0) & (out < radices(nb)))
+        assert np.array_equal(codes, random_codes(np.random.default_rng(seed), nb, 1)[0])
+        reference = np.random.default_rng()
+        reference.bit_generator.state = state
+        assert tuple(out.tolist()) == scalar_mutate(codes.tolist(), reference, k)
+        assert reference.bit_generator.state == rng.bit_generator.state
