@@ -6,12 +6,14 @@ default thread count.  A change that claims to preserve behaviour must keep
 them passing; a change to the search on purpose replaces them and says so.
 """
 
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hwnas.evaluation import build_evaluator
-from hwnas.optimize import RunConfig, run_search
+from hwnas.evaluation import PowerTrace, build_evaluator
+from hwnas.optimize import RunConfig, run_random, run_search
 
 DATA = Path(__file__).parent / "data"
 
@@ -48,3 +50,47 @@ def test_search_log_matches_golden(tmp_path, name):
     evaluator, _ = build_evaluator(cfg.evaluator, cfg.macro)
     run_search(cfg, evaluator)
     assert log.read_bytes() == (DATA / name).read_bytes()
+
+
+# The external trace path: an adapter answers each request with one of a few
+# power traces, so the log pins how the traces are parsed, segmented and
+# integrated.  Paths in the evaluator spec are relative to the run directory,
+# so the log does not depend on where the test runs.
+TRACE_ADAPTER = """import json, pathlib, zlib
+k = zlib.crc32(pathlib.Path("request.json").read_bytes()) % {count}
+pathlib.Path("response.json").write_text(json.dumps(
+    {{"error": {errors}[k], "trace_path": f"../traces/t{{k}}.csv", "threshold_w": 0.45}}))
+"""
+TRACE_COUNT, TRACE_SAMPLES = 4, 2_000
+
+
+def write_traces(root: Path) -> list[float]:
+    """Seeded traces with a working window above 0.45 W; full-precision times and powers."""
+    rng = np.random.default_rng(11)
+    (root / "traces").mkdir()
+    errors = []
+    for k in range(TRACE_COUNT):
+        t_ms = np.cumsum(rng.uniform(0.05, 0.15, TRACE_SAMPLES))
+        power = rng.uniform(0.1, 0.3, TRACE_SAMPLES)
+        start = int(rng.integers(100, 500))
+        width = 400 + 300 * k
+        power[start : start + width] = rng.uniform(0.6, 1.0, width)
+        PowerTrace(t_ms, power).to_csv(root / "traces" / f"t{k}.csv")
+        errors.append(float(rng.uniform(0.1, 0.4)))
+    return errors
+
+
+def test_external_trace_log_matches_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    errors = write_traces(tmp_path)
+    (tmp_path / "adapter.py").write_text(TRACE_ADAPTER.format(count=TRACE_COUNT, errors=json.dumps(errors)))
+    spec = {
+        "type": "external",
+        "command": ["python3", "../adapter.py"],
+        "workdir": "adapter",
+        "device": "golden-trace",
+    }
+    cfg = RunConfig(seed=0, budget=12, num_blocks=2, evaluator=spec, log_path="ext_trace.jsonl")
+    evaluator, _ = build_evaluator(cfg.evaluator, cfg.macro)
+    run_random(cfg, evaluator)
+    assert (tmp_path / "ext_trace.jsonl").read_bytes() == (DATA / "ext_trace.jsonl").read_bytes()
