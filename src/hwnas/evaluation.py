@@ -13,6 +13,7 @@ import csv
 import json
 import shlex
 import subprocess
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,19 +58,29 @@ class PowerTrace:
     @classmethod
     def from_samples(cls, samples) -> "PowerTrace":
         arr = np.asarray(list(samples), dtype=float)
+        if arr.ndim != 2 or arr.shape[1] < 2:
+            raise TraceError("samples must be (t_ms, power_w) rows")
         return cls(arr[:, 0], arr[:, 1])
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "PowerTrace":
+        """Read a ``t_ms,power_w`` CSV; further columns and blank lines are ignored."""
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["t_ms", "power_w"]:
+            header = fh.readline().split(",")
+            if [h.strip().strip('"') for h in header[:2]] != ["t_ms", "power_w"]:
                 raise TraceError(f"{path}: expected CSV header 't_ms,power_w'")
-            rows = [(float(r[0]), float(r[1])) for r in reader if r]
-        if not rows:
+            with warnings.catch_warnings():
+                # A header-only file is reported below as "no samples", not as loadtxt's warning.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                try:
+                    rows = np.loadtxt(
+                        fh, delimiter=",", usecols=(0, 1), comments=None, quotechar='"', ndmin=2
+                    )
+                except ValueError as exc:
+                    raise TraceError(f"{path}: {exc}") from exc
+        if rows.shape[0] == 0:
             raise TraceError(f"{path}: no samples")
-        return cls.from_samples(rows)
+        return cls(rows[:, 0], rows[:, 1])
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -185,6 +185,13 @@ class TestTraceCommand:
             "trace", "--trace", str(trace_path), "--threshold", "1", "--profile", "titanx"
         ]) == 1
 
+    def test_malformed_row_reported(self, tmp_path, capsys):
+        trace_path = tmp_path / "t.csv"
+        trace_path.write_text("t_ms,power_w\n0,1\n20\n")
+        assert main(["trace", "--trace", str(trace_path), "--threshold", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "t.csv: " in err and "row" in err
+
 
 class TestReevalCommand:
     def test_cross_device_report(self, tmp_path):

@@ -1,10 +1,15 @@
+import csv
+import io
 import json
 import stat
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hwnas.evaluation import (
     BUILTIN_PROFILES,
@@ -65,6 +70,89 @@ class TestPowerTrace:
         path.write_text("0,1\n20,1\n")
         with pytest.raises(TraceError):
             PowerTrace.from_csv(path)
+
+    def test_from_samples_rejects_empty_and_one_column(self):
+        with pytest.raises(TraceError):
+            PowerTrace.from_samples([])
+        with pytest.raises(TraceError):
+            PowerTrace.from_samples([(0.0,), (20.0,)])
+
+
+def csv_oracle(text):
+    """The csv-module reading of a trace: a header, then float() of the first two cells."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    rows = [(float(r[0]), float(r[1])) for r in reader if r]
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+
+FINITE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+FORMATS = (repr, lambda x: "%.17g" % x, lambda x: "%e" % x, lambda x: str(int(x)))
+DECORATIONS = ("{}", " {}", "{} ", "  {}  ", '"{}"')
+HEADERS = ("t_ms,power_w", '"t_ms","power_w"', " t_ms , power_w ", "t_ms,power_w,v")
+
+
+@st.composite
+def trace_texts(draw):
+    """CSV text of a valid trace: mixed headers, number formats, spacing, quotes, line ends."""
+    cells = draw(
+        st.lists(
+            st.tuples(FINITE, FINITE, st.sampled_from(FORMATS), st.sampled_from(FORMATS)),
+            min_size=2,
+            max_size=40,
+        )
+    )
+    rows = {}
+    for t, p, ft, fp in cells:
+        t_cell, p_cell = ft(t), fp(p)
+        rows.setdefault(float(t_cell), (t_cell, p_cell))
+    assume(len(rows) >= 2)
+    lines = [draw(st.sampled_from(HEADERS))]
+    for key in sorted(rows):
+        t_cell, p_cell = rows[key]
+        t_dec, p_dec = draw(st.sampled_from(DECORATIONS)), draw(st.sampled_from(DECORATIONS))
+        line = t_dec.format(t_cell) + "," + p_dec.format(p_cell)
+        line += draw(st.sampled_from(("", ",extra", ",3.5", ',"x"')))
+        lines.append(line)
+        lines.extend([""] * draw(st.integers(0, 2)))
+    ends = [draw(st.sampled_from(("\n", "\r\n"))) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestTraceCsv:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=trace_texts())
+    def test_matches_csv_module_bit_for_bit(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("trace") / "t.csv"
+        path.write_bytes(text.encode())
+        t_want, p_want = csv_oracle(text)
+        trace = PowerTrace.from_csv(path)
+        assert np.array_equal(trace.t_ms.view(np.int64), t_want.view(np.int64))
+        assert np.array_equal(trace.power_w.view(np.int64), p_want.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0,1\n# comment\n20,1\n",
+            "0,1\n,1\n20,1\n",
+            "0,1\n20\n",
+            "0,1\n1_0,1\n20,1\n",
+        ],
+        ids=["comment-line", "empty-cell", "one-column", "digit-underscore"],
+    )
+    def test_malformed_row_rejected(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("t_ms,power_w\n" + body)
+        with pytest.raises(TraceError, match=r"bad\.csv: .*row"):
+            PowerTrace.from_csv(path)
+
+    def test_header_only_has_no_samples(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("t_ms,power_w\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TraceError, match="empty.csv: no samples"):
+                PowerTrace.from_csv(path)
 
 
 class TestSegmentTrace:
@@ -275,6 +363,12 @@ class TestExternalEvaluate:
     def test_both_measurement_forms_rejected(self, tmp_path):
         cmd = write_adapter(tmp_path, ADAPTER_MALFORMED)
         with pytest.raises(EvaluatorError, match="exactly one"):
+            external_evaluate(sample_request(), cmd, tmp_path, timeout_s=30)
+
+    def test_trace_with_bad_row(self, tmp_path):
+        (tmp_path / "trace.csv").write_text("t_ms,power_w\n0,2\n20\n40,2\n")
+        cmd = write_adapter(tmp_path, ADAPTER_TRACE)
+        with pytest.raises(EvaluatorError, match="malformed response: .*trace.csv"):
             external_evaluate(sample_request(), cmd, tmp_path, timeout_s=30)
 
     def test_missing_trace_file(self, tmp_path):
