@@ -28,6 +28,31 @@ class TraceError(ValueError):
     """Malformed power trace or invalid integration window."""
 
 
+# How np.loadtxt reads the data lines of a trace CSV: the first two cells of
+# each line, quotes allowed, no comment syntax.
+_TRACE_ROWS = dict(delimiter=",", usecols=(0, 1), comments=None, quotechar='"', ndmin=2)
+
+
+def _bad_line(fh, exc: ValueError) -> str:
+    """Name the first data line of the trace ``fh`` that np.loadtxt cannot read.
+
+    NumPy's message counts only the non-blank data lines, from 0 or from 1
+    depending on the fault, so the file is read again line by line to give
+    the 1-based line number (the header is line 1).  Falls back to NumPy's
+    message when no line fails on its own.
+    """
+    fh.seek(0)
+    for number, line in enumerate(fh, start=1):
+        if number == 1:
+            continue
+        try:
+            np.loadtxt([line], **_TRACE_ROWS)
+        except ValueError:
+            text = line.rstrip("\r\n")
+            return f"line {number} is not a 't_ms,power_w' row: {text!r}"
+    return str(exc)
+
+
 class EvaluatorError(RuntimeError):
     """External evaluator invocation failure (timeout, exit code, bad response)."""
 
@@ -73,11 +98,9 @@ class PowerTrace:
                 # A header-only file is reported below as "no samples", not as loadtxt's warning.
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 try:
-                    rows = np.loadtxt(
-                        fh, delimiter=",", usecols=(0, 1), comments=None, quotechar='"', ndmin=2
-                    )
+                    rows = np.loadtxt(fh, **_TRACE_ROWS)
                 except ValueError as exc:
-                    raise TraceError(f"{path}: {exc}") from exc
+                    raise TraceError(f"{path}: {_bad_line(fh, exc)}") from exc
         if rows.shape[0] == 0:
             raise TraceError(f"{path}: no samples")
         return cls(rows[:, 0], rows[:, 1])

@@ -10,16 +10,19 @@ candidate pool against the training rows straight from the integer codes
 (:func:`hamming_table`) and shares it between the objectives
 (:meth:`GPModel.predict_table`); :meth:`GPModel.predict_features` is the same
 posterior for any real-valued feature rows.  Hyperparameters maximize the log
-marginal likelihood via a seeded multi-start bounded derivative-free search.
+marginal likelihood by a seeded multi-start search: bounded Powell (Powell
+1964) with Brent's bounded line search (Brent 1973), implemented in this
+module as SciPy 1.17's ``minimize(method="Powell", bounds=...)`` does it, so
+the search does not depend on the installed SciPy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isnan, sqrt
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, solve_triangular
-from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
 from .search_space import FIELDS_PER_BLOCK, CellGenome, encode, radices
@@ -29,6 +32,14 @@ _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 # log-space hyperparameter bounds: lengthscale, signal variance, noise variance.
 DEFAULT_BOUNDS = ((0.1, 100.0), (0.01, 10.0), (1e-6, 1.0))
+_LOG_BOUNDS = np.log(np.asarray(DEFAULT_BOUNDS, dtype=float))
+
+# Hyperparameter search: random starts (plus one heuristic start), then bounded
+# Powell from the three best, each stopped after _MAXFEV evaluations.
+_N_STARTS = 8
+_MAXFEV = 60
+_XTOL = 1e-3
+_FTOL = 1e-4
 
 
 class GPError(RuntimeError):
@@ -127,11 +138,13 @@ _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 def cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive-definite matrix (LAPACK ``potrf``).
 
-    Only the lower triangle of ``a`` is read and ``a`` is left unchanged; the
-    factor comes back column-major with its upper triangle zeroed.  Raises
+    Only the lower triangle of ``a`` is read.  A column-major float64 ``a`` is
+    factored in place and overwritten, also when the factorization fails;
+    any other ``a`` is copied first and left unchanged.  The factor comes
+    back column-major with its upper triangle zeroed.  Raises
     ``np.linalg.LinAlgError`` when ``a`` is not positive definite.
     """
-    L, info = _potrf(a, lower=1, clean=1)
+    L, info = _potrf(a, lower=1, clean=1, overwrite_a=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
     return L
@@ -185,20 +198,22 @@ def _factor(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """(L, alpha, jitter) with L L^T = K + (noise + jitter) I and alpha = (L L^T)^-1 y.
 
-    The first ``_JITTERS`` entry that makes the covariance factorizable wins;
-    each retry adds its jitter to the diagonal of a fresh copy of the covariance.
+    The first ``_JITTERS`` entry that makes the covariance factorizable wins.
+    ``potrf`` factors the covariance in place, so each retry gathers it again
+    from the table and adds ``noise``, then its jitter, to the diagonal.
     """
     uniq, inverse = table
-    cov = (signal * np.exp(-uniq / (2.0 * lengthscale**2)))[inverse]
-    step = cov.shape[0] + 1
-    cov.reshape(-1)[::step] += noise
+    values = signal * np.exp(-uniq / (2.0 * lengthscale**2))
     for jitter in _JITTERS:
-        a = cov
+        cov = values[inverse]
+        diagonal = cov.reshape(-1)[:: cov.shape[0] + 1]
+        diagonal += noise
         if jitter:
-            a = cov.copy()
-            a.reshape(-1)[::step] += jitter
+            diagonal += jitter
         try:
-            L = cholesky(a)
+            # The covariance is symmetric, so its transpose is the same matrix
+            # in the column-major order that lets potrf skip a copy.
+            L = cholesky(cov.T)
         except np.linalg.LinAlgError:
             continue
         alpha, _ = _potrs(L, y, lower=1)
@@ -292,22 +307,191 @@ class GPModel:
         return float(mean[0]), float(var[0])
 
 
+class _OutOfEvaluations(Exception):
+    """The evaluation budget ran out; the line search under way is dropped."""
+
+
+def _line_bounds(
+    x: np.ndarray, direction: np.ndarray, lower: list[float], upper: list[float]
+) -> tuple[float, float]:
+    """Step range ``(lmin, lmax)`` keeping ``x + l * direction`` in the box (``_line_for_search``).
+
+    Coordinates the direction does not move are skipped; an empty range
+    (``x`` outside the box) gives ``(0, 0)``.
+    """
+    lows, highs = [], []
+    for xi, di, lo, hi in zip(x.tolist(), direction.tolist(), lower, upper):
+        if di:
+            low = (lo - xi) / di
+            high = (hi - xi) / di
+            lows.append(low if di > 0 else high)
+            highs.append(high if di > 0 else low)
+    lmin, lmax = max(lows), min(highs)
+    return (lmin, lmax) if lmax >= lmin else (0, 0)
+
+
+_GOLDEN_MEAN = 0.5 * (3.0 - sqrt(5.0))
+_SQRT_EPS = sqrt(2.2e-16)
+
+
+def _bounded_brent(f, a: float, b: float) -> tuple[float, float]:
+    """Minimize ``f`` on ``[a, b]`` by Brent's bounded search (``_minimize_scalar_bounded``).
+
+    Returns ``(x, f(x))`` of the best point seen.  The absolute tolerance is
+    ``_XTOL``: Powell gives its line searches ``100 * xtol``, and they give
+    Brent a hundredth of that.  SciPy's 500-evaluation cap is left out: the
+    outer ``_MAXFEV`` budget is far below it.
+    """
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + _XTOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # Parabola through the three best points.
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = -tol1 if xm - xf < 0 else tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN_MEAN * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0 else xf + step
+        fu = f(x)
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + _XTOL / 3.0
+        tol2 = 2.0 * tol1
+    return xf, fx
+
+
+def _line_search(f, x, direction, fval, lower, upper):
+    """(f, point, step) of the bounded line minimum of ``f`` from ``x`` along ``direction``.
+
+    ``_linesearch_powell`` with finite bounds: the box is finite, so the step
+    range is too.  A zero direction returns ``x`` and ``fval``.
+    """
+    if not np.any(direction):
+        return fval, x, direction
+    lmin, lmax = _line_bounds(x, direction, lower, upper)
+    alpha, fmin = _bounded_brent(lambda a: f(x + a * direction), lmin, lmax)
+    step = alpha * direction
+    return fmin, x + step, step
+
+
+def _powell(
+    func, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Bounded Powell minimization of ``func`` from ``x0`` in the box: ``(x, func(x))``.
+
+    Operation for operation SciPy 1.17's ``minimize(func, x0, method="Powell",
+    bounds=..., options={"maxfev": _MAXFEV, "xtol": _XTOL, "ftol": _FTOL})``
+    (``_minimize_powell``, whose helpers are named in the functions above),
+    so it evaluates the same points and returns the same result.  Once
+    ``_MAXFEV`` evaluations are spent, the line search under way is dropped
+    and the point before it is returned.
+    """
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= _MAXFEV:
+            raise _OutOfEvaluations
+        calls += 1
+        return func(x)
+
+    lower, upper = lower.tolist(), upper.tolist()
+    x = np.array(x0, dtype=float)
+    n = x.shape[0]
+    directions = np.eye(n)
+    fval = f(x)
+    x1 = x.copy()
+    try:
+        while True:
+            fx = fval
+            bigind = 0
+            delta = 0.0
+            for i in range(n):
+                fx2 = fval
+                fval, x, _ = _line_search(f, x, directions[i], fval, lower, upper)
+                if (fx2 - fval) > delta:
+                    delta = fx2 - fval
+                    bigind = i
+            if 2.0 * (fx - fval) <= _FTOL * (abs(fx) + abs(fval)) + 1e-20:
+                break
+            if calls >= _MAXFEV or (isnan(fx) and isnan(fval)):
+                break
+            # Extrapolate along this sweep's net move, kept inside the box.
+            direction = x - x1
+            x1 = x.copy()
+            _, lmax = _line_bounds(x, direction, lower, upper)
+            fx2 = f(x + min(lmax, 1) * direction)
+            if fx > fx2:
+                t = 2.0 * (fx + fx2 - 2.0 * fval)
+                temp = fx - fval - delta
+                t *= temp * temp
+                temp = fx - fx2
+                t -= delta * temp * temp
+                if t < 0.0:
+                    fval, x, direction = _line_search(f, x, direction, fval, lower, upper)
+                    if np.any(direction):
+                        directions[bigind] = directions[-1]
+                        directions[-1] = direction
+    except _OutOfEvaluations:
+        pass
+    return x, fval
+
+
 def fit(
     X: np.ndarray,
     y_raw: np.ndarray,
-    n_starts: int = 8,
     seed=0,
-    bounds=DEFAULT_BOUNDS,
-    maxfev: int = 60,
     table: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> GPModel:
     """Standardize targets and pick hyperparameters by maximum marginal likelihood.
 
-    Starting points are ``n_starts`` log-uniform draws from ``seed`` plus one
-    median-distance heuristic; all are probed, and bounded Powell searches run
-    from the three most promising.  Deterministic for a fixed seed.  ``table``
-    is ``distance_table(X)``, passed by callers that fit several targets on
-    the same ``X``.
+    Starting points are ``_N_STARTS`` log-uniform draws over ``DEFAULT_BOUNDS``
+    from ``seed`` plus one median-distance heuristic; all are probed, and the
+    in-module bounded Powell search (:func:`_powell`) runs from the three most
+    promising.  Deterministic for a fixed seed.  ``table`` is
+    ``distance_table(X)``, passed by callers that fit several targets on the
+    same ``X``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y_raw = np.asarray(y_raw, dtype=float).ravel()
@@ -330,30 +514,24 @@ def fit(
             return np.inf
         return _neg_lml(L, alpha, y, log_2pi_term)
 
-    log_bounds = np.log(np.asarray(bounds, dtype=float))
+    lower, upper = _LOG_BOUNDS.T
     rng = np.random.default_rng(seed)
-    starts = rng.uniform(log_bounds[:, 0], log_bounds[:, 1], size=(n_starts, 3))
+    starts = rng.uniform(lower, upper, size=(_N_STARTS, 3))
     # Plus one heuristic start: median-distance lengthscale, unit signal.
     uniq = table[0]
     positive = uniq[uniq > 0]
     med = float(np.sqrt(np.median(positive))) if positive.size else 1.0
-    heuristic = np.log(np.clip([med, 1.0, 1e-2], *np.asarray(bounds, dtype=float).T))
+    heuristic = np.log(np.clip([med, 1.0, 1e-2], *np.asarray(DEFAULT_BOUNDS, dtype=float).T))
     starts = np.vstack([heuristic, starts])
     # Probe all starts, run the local search only from the most promising ones.
     probes = np.array([neg_lml(theta0) for theta0 in starts])
     best_theta = None
     best_val = np.inf
     for idx in np.argsort(probes)[:3]:
-        res = minimize(
-            neg_lml,
-            starts[idx],
-            method="Powell",
-            bounds=log_bounds,
-            options={"maxfev": maxfev, "xtol": 1e-3, "ftol": 1e-4},
-        )
-        if res.fun < best_val:
-            best_val = res.fun
-            best_theta = res.x
+        theta, val = _powell(neg_lml, starts[idx], lower, upper)
+        if val < best_val:
+            best_val = val
+            best_theta = theta
     if best_theta is None or not np.isfinite(best_val):
         raise GPError("hyperparameter search failed for all starts")
     return GPModel(X, y_raw, KernelParams(*np.exp(best_theta)), standardize=True, table=table)

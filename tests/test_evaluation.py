@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import stat
 import sys
 import warnings
@@ -131,19 +132,31 @@ class TestTraceCsv:
         assert np.array_equal(trace.power_w.view(np.int64), p_want.view(np.int64))
 
     @pytest.mark.parametrize(
-        "body",
+        "body, line, text",
         [
-            "0,1\n# comment\n20,1\n",
-            "0,1\n,1\n20,1\n",
-            "0,1\n20\n",
-            "0,1\n1_0,1\n20,1\n",
+            ("0,1\n# comment\n20,1\n", 3, "# comment"),
+            ("0,1\n,1\n20,1\n", 3, ",1"),
+            ("0,1\n20\n", 3, "20"),
+            ("0,1\n1_0,1\n20,1\n", 3, "1_0,1"),
+            # NumPy counts neither the header nor blank lines, and counts a bad
+            # cell from 0 but a short row from 1; the error names the file's line.
+            ("0.0,0.1\n\n0.1,abc\n0.2,0.3\n", 4, "0.1,abc"),
+            ("0.0,0.1\r\n\r\n0.1\r\n0.2,0.3\r\n", 4, "0.1"),
         ],
-        ids=["comment-line", "empty-cell", "one-column", "digit-underscore"],
+        ids=[
+            "comment-line",
+            "empty-cell",
+            "one-column",
+            "digit-underscore",
+            "blank-then-cell",
+            "blank-then-one-cell",
+        ],
     )
-    def test_malformed_row_rejected(self, tmp_path, body):
+    def test_malformed_row_rejected(self, tmp_path, body, line, text):
         path = tmp_path / "bad.csv"
-        path.write_text("t_ms,power_w\n" + body)
-        with pytest.raises(TraceError, match=r"bad\.csv: .*row"):
+        path.write_bytes(b"t_ms,power_w\n" + body.encode())
+        message = rf"bad\.csv: line {line} is not a 't_ms,power_w' row: '{re.escape(text)}'$"
+        with pytest.raises(TraceError, match=message):
             PowerTrace.from_csv(path)
 
     def test_header_only_has_no_samples(self, tmp_path):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+import hwnas
 from hwnas.gp import (
+    _FTOL,
+    _LOG_BOUNDS,
+    _MAXFEV,
+    _XTOL,
+    _powell,
     GPError,
     GPModel,
     KernelParams,
@@ -286,6 +297,80 @@ class TestFit:
         rmse = np.sqrt(np.mean((mean - Ft @ w) ** 2))
         # Must clearly beat the trivial predict-the-mean baseline (rmse ~ std).
         assert rmse < 0.75 * np.std(y)
+
+
+class TestPowell:
+    """``_powell`` is SciPy's bounded Powell, evaluation for evaluation."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        inf_region=st.booleans(),
+        grid=st.sampled_from([0.0, 0.1, 1.0]),
+        pinned=st.lists(st.sampled_from([None, 0, 1]), min_size=3, max_size=3),
+    )
+    def test_matches_scipy_powell(self, seed, inf_region, grid, pinned):
+        from scipy.optimize import minimize
+
+        rng = np.random.default_rng(seed)
+        lower, upper = _LOG_BOUNDS.T
+        # A smooth objective over fit's log-bounds: a bowl with ripples.  With
+        # inf_region it is inf beyond a random plane through the box, as
+        # fit's objective is where the covariance cannot be factored.  A
+        # nonzero grid rounds it into plateaus, so the line searches meet ties.
+        center = rng.uniform(lower, upper)
+        weight = rng.uniform(0.05, 3.0, size=3)
+        freq = rng.uniform(0.5, 4.0, size=3)
+        amp = rng.uniform(0.0, 1.0)
+        normal = rng.normal(size=3)
+        offset = normal @ rng.uniform(lower, upper)
+
+        def objective(theta):
+            if inf_region and normal @ theta > offset:
+                return np.inf
+            value = float(weight @ (theta - center) ** 2 + amp * np.sin(freq * theta).sum())
+            return grid * round(value / grid) if grid else value
+
+        def recorded(points):
+            def f(theta):
+                points.append(theta.copy())
+                return objective(theta)
+
+            return f
+
+        # Starts inside the box, some coordinates on a bound.
+        x0 = rng.uniform(lower, upper)
+        for i, side in enumerate(pinned):
+            if side is not None:
+                x0[i] = _LOG_BOUNDS[i, side]
+        want_points, got_points = [], []
+        with np.errstate(invalid="ignore"):
+            want = minimize(
+                recorded(want_points),
+                x0,
+                method="Powell",
+                bounds=_LOG_BOUNDS,
+                options={"maxfev": _MAXFEV, "xtol": _XTOL, "ftol": _FTOL},
+            )
+        x, fun = _powell(recorded(got_points), x0, lower, upper)
+        assert len(got_points) == len(want_points)
+        assert np.array(got_points).tobytes() == np.array(want_points).tobytes()
+        assert x.tobytes() == want.x.tobytes()
+        assert fun == want.fun
+
+
+def test_importing_the_package_leaves_out_scipy_optimize():
+    """The hyperparameter search is in-module, so no import pulls in scipy.optimize."""
+    code = (
+        "import sys, hwnas, hwnas.cli, hwnas.optimize, hwnas.evaluation; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    )
+    paths = [str(Path(hwnas.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestFactorization:
