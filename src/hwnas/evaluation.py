@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import shlex
 import subprocess
 import warnings
@@ -33,16 +34,29 @@ class TraceError(ValueError):
 _TRACE_ROWS = dict(delimiter=",", usecols=(0, 1), comments=None, quotechar='"', ndmin=2)
 
 
-def _bad_line(fh, exc: ValueError) -> str:
-    """Name the first data line of the trace ``fh`` that np.loadtxt cannot read.
+# NumPy's loadtxt opens a file name ending in one of these suffixes as a
+# compressed stream (numpy.lib._datasource), so such a name never reaches it.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
+
+def _bad_line(name: str, exc: ValueError) -> str:
+    """Name the first line of the trace file ``name`` that cannot be read.
+
+    That is a line that is not UTF-8, or a data line np.loadtxt refuses.
     NumPy's message counts only the non-blank data lines, from 0 or from 1
     depending on the fault, so the file is read again line by line to give
     the 1-based line number (the header is line 1).  Falls back to NumPy's
     message when no line fails on its own.
     """
-    fh.seek(0)
-    for number, line in enumerate(fh, start=1):
+    with open(name, "rb") as fh:
+        data = fh.read()
+    # bytes.splitlines breaks at \n, \r\n and \r only: the line ends of text mode.
+    for number, raw in enumerate(data.splitlines(keepends=True), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raw = raw.rstrip(b"\r\n")
+            return f"line {number} is not valid UTF-8: {raw!r}"
         if number == 1:
             continue
         try:
@@ -90,17 +104,27 @@ class PowerTrace:
     @classmethod
     def from_csv(cls, path: str | Path) -> "PowerTrace":
         """Read a ``t_ms,power_w`` CSV; further columns and blank lines are ignored."""
-        with open(path, newline="", encoding="utf-8") as fh:
-            header = fh.readline().split(",")
-            if [h.strip().strip('"') for h in header[:2]] != ["t_ms", "power_w"]:
-                raise TraceError(f"{path}: expected CSV header 't_ms,power_w'")
-            with warnings.catch_warnings():
-                # A header-only file is reported below as "no samples", not as loadtxt's warning.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                try:
-                    rows = np.loadtxt(fh, **_TRACE_ROWS)
-                except ValueError as exc:
-                    raise TraceError(f"{path}: {_bad_line(fh, exc)}") from exc
+        # A relative name gets a "./" prefix, so that NumPy's opener never
+        # takes it for a URL; ".." is left for the OS to resolve.
+        name = os.path.join(os.curdir, path)
+        if name.endswith(_COMPRESSED_SUFFIXES):
+            raise TraceError(f"{path}: traces must be plain text, not {Path(name).suffix} files")
+        with warnings.catch_warnings():
+            # A header-only file is reported below as "no samples", not as
+            # loadtxt's warning, which _bad_line's reads of blank lines also raise.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                with open(name, newline="", encoding="utf-8") as fh:
+                    header = fh.readline().split(",")
+                if [h.strip().strip('"') for h in header[:2]] != ["t_ms", "power_w"]:
+                    raise TraceError(f"{path}: expected CSV header 't_ms,power_w'")
+                # Given a name, NumPy's C reader pulls the file in chunks.
+                rows = np.loadtxt(name, skiprows=1, encoding="utf-8", **_TRACE_ROWS)
+            except TraceError:
+                raise
+            except ValueError as exc:
+                # Also a UnicodeDecodeError, from the header line or from NumPy's reads.
+                raise TraceError(f"{path}: {_bad_line(name, exc)}") from exc
         if rows.shape[0] == 0:
             raise TraceError(f"{path}: no samples")
         return cls(rows[:, 0], rows[:, 1])
@@ -197,13 +221,18 @@ def integrate_energy(trace: PowerTrace, t1_ms: float, t2_ms: float) -> float:
             f"window [{t1_ms}, {t2_ms}] outside trace span "
             f"[{trace.t_ms[0]}, {trace.t_ms[-1]}]"
         )
-    inside = (trace.t_ms > t1_ms) & (trace.t_ms < t2_ms)
-    ts = np.concatenate(([t1_ms], trace.t_ms[inside], [t2_ms]))
+    t, p = trace.t_ms, trace.power_w
+    # Samples strictly inside (t1, t2) are t[lo:hi]; t[lo - 1] <= t1 and t2 <= t[hi].
+    lo = int(np.searchsorted(t, t1_ms, side="right"))
+    hi = int(np.searchsorted(t, t2_ms, side="left"))
+    # np.interp over the two samples that bracket an endpoint gives the same
+    # value as over the whole trace: the same operands, the same formula.
+    ts = np.concatenate(([t1_ms], t[lo:hi], [t2_ms]))
     ps = np.concatenate(
         (
-            [np.interp(t1_ms, trace.t_ms, trace.power_w)],
-            trace.power_w[inside],
-            [np.interp(t2_ms, trace.t_ms, trace.power_w)],
+            [np.interp(t1_ms, t[lo - 1 : lo + 1], p[lo - 1 : lo + 1])],
+            p[lo:hi],
+            [np.interp(t2_ms, t[hi - 1 : hi + 1], p[hi - 1 : hi + 1])],
         )
     )
     joules_ms = float(np.sum(0.5 * (ps[1:] + ps[:-1]) * np.diff(ts)))
@@ -329,8 +358,14 @@ def external_evaluate(
     )
     argv = shlex.split(command) if isinstance(command, str) else list(command)
     try:
+        # stdout is never read; stderr is kept as bytes, since an adapter may
+        # print anything, and decoded only for a failure message.
         proc = subprocess.run(
-            argv, cwd=workdir, capture_output=True, text=True, timeout=timeout_s
+            argv,
+            cwd=workdir,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            timeout=timeout_s,
         )
     except subprocess.TimeoutExpired as exc:
         raise EvaluatorError(f"adapter timed out after {timeout_s}s: {argv}") from exc
@@ -338,7 +373,8 @@ def external_evaluate(
         raise EvaluatorError(f"adapter could not be launched: {exc}") from exc
     if proc.returncode != 0:
         raise EvaluatorError(
-            f"adapter exited with {proc.returncode}; stderr: {proc.stderr.strip()}"
+            f"adapter exited with {proc.returncode}; "
+            f"stderr: {proc.stderr.decode('utf-8', errors='replace').strip()}"
         )
     response_path = workdir / "response.json"
     if not response_path.exists():

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.lib import _datasource
 
 from hwnas.evaluation import (
+    _COMPRESSED_SUFFIXES,
     BUILTIN_PROFILES,
     DeviceProfile,
     EvaluationRequest,
@@ -80,17 +83,26 @@ class TestPowerTrace:
 
 
 def csv_oracle(text):
-    """The csv-module reading of a trace: a header, then float() of the first two cells."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    next(reader)
-    rows = [(float(r[0]), float(r[1])) for r in reader if r]
+    """The csv-module reading of a trace: a header line, then float() of the first two cells.
+
+    The header is one physical line, even where a quote in it is never closed.
+    """
+    buf = io.StringIO(text, newline="")
+    buf.readline()
+    rows = [(float(r[0]), float(r[1])) for r in csv.reader(buf) if r]
     return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
 
 
 FINITE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 FORMATS = (repr, lambda x: "%.17g" % x, lambda x: "%e" % x, lambda x: str(int(x)))
 DECORATIONS = ("{}", " {}", "{} ", "  {}  ", '"{}"')
-HEADERS = ("t_ms,power_w", '"t_ms","power_w"', " t_ms , power_w ", "t_ms,power_w,v")
+HEADERS = (
+    "t_ms,power_w",
+    '"t_ms","power_w"',
+    " t_ms , power_w ",
+    "t_ms,power_w,v",
+    't_ms,power_w,"note',
+)
 
 
 @st.composite
@@ -116,18 +128,22 @@ def trace_texts(draw):
         line += draw(st.sampled_from(("", ",extra", ",3.5", ',"x"')))
         lines.append(line)
         lines.extend([""] * draw(st.integers(0, 2)))
-    ends = [draw(st.sampled_from(("\n", "\r\n"))) for _ in lines]
+    ends = [draw(st.sampled_from(("\n", "\r\n", "\r"))) for _ in lines]
     return "".join(line + end for line, end in zip(lines, ends))
 
 
 class TestTraceCsv:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(text=trace_texts())
-    def test_matches_csv_module_bit_for_bit(self, tmp_path_factory, text):
+    @given(text=trace_texts(), form=st.sampled_from(("path", "str", "relative")))
+    def test_matches_csv_module_bit_for_bit(self, tmp_path_factory, text, form):
         path = tmp_path_factory.mktemp("trace") / "t.csv"
         path.write_bytes(text.encode())
         t_want, p_want = csv_oracle(text)
-        trace = PowerTrace.from_csv(path)
+        if form == "relative":
+            with contextlib.chdir(path.parent):
+                trace = PowerTrace.from_csv("t.csv")
+        else:
+            trace = PowerTrace.from_csv(path if form == "path" else str(path))
         assert np.array_equal(trace.t_ms.view(np.int64), t_want.view(np.int64))
         assert np.array_equal(trace.power_w.view(np.int64), p_want.view(np.int64))
 
@@ -158,6 +174,51 @@ class TestTraceCsv:
         message = rf"bad\.csv: line {line} is not a 't_ms,power_w' row: '{re.escape(text)}'$"
         with pytest.raises(TraceError, match=message):
             PowerTrace.from_csv(path)
+
+    @pytest.mark.parametrize(
+        "data, line, shown",
+        [
+            (b"t_ms,power_w\n0,1\n2,\xff\n", 3, "b'2,\\\\xff'"),
+            (b"t_ms,power_w\r\n0,1\r\n\r\n\xfe2,3\r\n", 4, "b'\\\\xfe2,3'"),
+            (b"t_ms,power_w\r0,1\r2,\xc3\r", 3, "b'2,\\\\xc3'"),
+            (b"t_ms,\xffpower_w\n0,1\n2,3\n", 1, "b't_ms,\\\\xffpower_w'"),
+        ],
+        ids=["data-row", "after-blank-crlf", "lone-cr", "header"],
+    )
+    def test_not_utf8_names_the_line(self, tmp_path, data, line, shown):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        message = rf"bad\.csv: line {line} is not valid UTF-8: {shown}$"
+        with pytest.raises(TraceError, match=message):
+            PowerTrace.from_csv(path)
+
+    def test_first_bad_line_wins_over_a_later_bad_byte(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"t_ms,power_w\n0,1\n2,abc\n" + b"3,1\n" * 100 + b"4,\xff\n")
+        with pytest.raises(TraceError, match=r"line 3 is not a 't_ms,power_w' row: '2,abc'$"):
+            PowerTrace.from_csv(path)
+
+    @pytest.mark.parametrize("suffix", _COMPRESSED_SUFFIXES)
+    def test_compressed_suffix_refused(self, tmp_path, suffix):
+        # A plain-text trace under such a name would reach NumPy's decompressor.
+        path = tmp_path / f"t.csv{suffix}"
+        constant_trace().to_csv(path)
+        with pytest.raises(TraceError, match=rf"t\.csv\{suffix}: traces must be plain text"):
+            PowerTrace.from_csv(path)
+
+    def test_compressed_suffixes_are_numpys(self):
+        assert set(_COMPRESSED_SUFFIXES) == {ext for ext in _datasource._file_openers.keys() if ext}
+
+    def test_url_like_name_is_read_as_a_local_file(self, tmp_path, monkeypatch):
+        def no_network(*args, **kwargs):
+            raise AssertionError("the trace name was taken for a URL")
+
+        monkeypatch.setattr("urllib.request.urlopen", no_network)
+        (tmp_path / "http:" / "localhost").mkdir(parents=True)
+        constant_trace().to_csv(tmp_path / "http:" / "localhost" / "t.csv")
+        monkeypatch.chdir(tmp_path)
+        trace = PowerTrace.from_csv("http://localhost/t.csv")
+        assert np.array_equal(trace.t_ms, constant_trace().t_ms)
 
     def test_header_only_has_no_samples(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -192,7 +253,54 @@ class TestSegmentTrace:
         assert segment_trace(base, 1.0) == segment_trace(tweaked, 1.0)
 
 
+def integrate_oracle(trace, t1_ms, t2_ms):
+    """integrate_energy as first written: two full-length masks, np.interp over the whole trace."""
+    inside = (trace.t_ms > t1_ms) & (trace.t_ms < t2_ms)
+    ts = np.concatenate(([t1_ms], trace.t_ms[inside], [t2_ms]))
+    ps = np.concatenate(
+        (
+            [np.interp(t1_ms, trace.t_ms, trace.power_w)],
+            trace.power_w[inside],
+            [np.interp(t2_ms, trace.t_ms, trace.power_w)],
+        )
+    )
+    return float(np.sum(0.5 * (ps[1:] + ps[:-1]) * np.diff(ts))) / 1000.0
+
+
+@st.composite
+def traces_and_windows(draw):
+    """A trace of 2-50 samples and a window whose ends are on, between or at the ends of samples."""
+    n = draw(st.integers(2, 50))
+    steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=n - 1, max_size=n - 1))
+    t = np.cumsum([draw(st.floats(-1e3, 1e3))] + steps)
+    assume(np.all(np.diff(t) > 0))
+    p = np.array(draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n)))
+
+    def endpoint():
+        i = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(("sample", "between", "first", "last")))
+        if kind == "first":
+            return float(t[0])
+        if kind == "last":
+            return float(t[-1])
+        if kind == "sample" or i == n - 1:
+            return float(t[i])
+        return float(t[i] + draw(st.floats(0.0, 1.0)) * (t[i + 1] - t[i]))
+
+    t1, t2 = sorted((endpoint(), endpoint()))
+    assume(t1 < t2)
+    return PowerTrace(t, p), t1, t2
+
+
 class TestIntegrateEnergy:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(case=traces_and_windows())
+    def test_bit_identical_to_full_trace_formula(self, case):
+        trace, t1, t2 = case
+        got = np.float64(integrate_energy(trace, t1, t2))
+        want = np.float64(integrate_oracle(trace, t1, t2))
+        assert got.view(np.int64) == want.view(np.int64)
+
     def test_constant_power_exact(self):
         assert integrate_energy(constant_trace(), 0.0, 5000.0) == pytest.approx(10.0)
 
@@ -326,6 +434,20 @@ pathlib.Path("response.json").write_text(json.dumps(
 """
 
 
+ADAPTER_NOISY_STDOUT = """#!/usr/bin/env python3
+import json, pathlib, sys
+pathlib.Path("response.json").write_text(json.dumps(
+    {"error": 0.25, "energy_j": 2.0, "time_s": 0.05}))
+sys.stdout.buffer.write(b"epoch 1 \\xff done\\n")
+"""
+
+ADAPTER_FAIL_NOT_UTF8 = """#!/usr/bin/env python3
+import sys
+sys.stderr.buffer.write(b"device \\xff unreachable")
+sys.exit(4)
+"""
+
+
 def write_adapter(tmp_path, body, name="adapter.py"):
     path = tmp_path / name
     path.write_text(body)
@@ -371,6 +493,16 @@ class TestExternalEvaluate:
     def test_nonzero_exit_surfaces_stderr(self, tmp_path):
         cmd = write_adapter(tmp_path, ADAPTER_FAIL)
         with pytest.raises(EvaluatorError, match="device unreachable"):
+            external_evaluate(sample_request(), cmd, tmp_path, timeout_s=30)
+
+    def test_stdout_not_utf8_keeps_the_measurement(self, tmp_path):
+        cmd = write_adapter(tmp_path, ADAPTER_NOISY_STDOUT)
+        ov = external_evaluate(sample_request(), cmd, tmp_path, timeout_s=30)
+        assert (ov.error, ov.energy_j, ov.time_s) == (0.25, 2.0, 0.05)
+
+    def test_stderr_not_utf8_surfaces_replaced(self, tmp_path):
+        cmd = write_adapter(tmp_path, ADAPTER_FAIL_NOT_UTF8)
+        with pytest.raises(EvaluatorError, match="exited with 4; stderr: device \ufffd unreachable$"):
             external_evaluate(sample_request(), cmd, tmp_path, timeout_s=30)
 
     def test_both_measurement_forms_rejected(self, tmp_path):
