@@ -43,6 +43,15 @@ def _emit(payload, out: str | None) -> None:
         print(text)
 
 
+def _positive_int(value: str) -> int:
+    try:
+        if int(value) >= 1:
+            return int(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {value!r}")
+
+
 def _subset_arg(value: str | None):
     if value is None:
         return None
@@ -85,7 +94,7 @@ def cmd_pareto(args) -> int:
             for r in pareto_filter(recs, subset)
         ]
 
-    if args.stride:
+    if args.stride is not None:
         prefixes = list(range(args.stride, len(records) + 1, args.stride))
         if not prefixes or prefixes[-1] != len(records):
             prefixes.append(len(records))
@@ -211,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pareto", help="extract the Pareto front (optionally per-prefix snapshots)")
     p.add_argument("--log", required=True)
     p.add_argument("--objectives", help="comma list among error,energy,time (default all)")
-    p.add_argument("--stride", type=int, help="emit one front per prefix of stride*i records")
+    p.add_argument(
+        "--stride", type=_positive_int, help="emit one front per prefix of stride*i records (stride >= 1)"
+    )
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_pareto)
 

@@ -5,11 +5,12 @@ shared lengthscale over a one-hot expansion of the encoded genome.  On those
 features the squared distance of two genomes is twice the Hamming distance of
 their encodings and takes at most ``4 * nb + 1`` values, so covariances are
 built from a (unique values, index) distance table: each model exponentiates
-the unique values and gathers them.  The search loop builds one table of the
-candidate pool against the training rows straight from the integer codes
-(:func:`hamming_table`) and shares it between the objectives
-(:meth:`GPModel.predict_table`); :meth:`GPModel.predict_features` is the same
-posterior for any real-valued feature rows.  Hyperparameters maximize the log
+the unique values and gathers them.  The search loop builds its tables
+straight from the integer codes (:func:`hamming_table`): one of the training
+rows, shared by the objectives' fits, and one of the candidate pool against
+them, shared by the posteriors (:meth:`GPModel.predict_table`);
+:meth:`GPModel.predict_features` is the same posterior for any real-valued
+feature rows.  Hyperparameters maximize the log
 marginal likelihood by a seeded multi-start search: bounded Powell (Powell
 1964) with Brent's bounded line search (Brent 1973), implemented in this
 module as SciPy 1.17's ``minimize(method="Powell", bounds=...)`` does it, so
@@ -169,9 +170,11 @@ def hamming_table(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Squared feature distances of encoded genomes ``A`` to ``B`` as (unique values, index).
 
     Equal to ``np.unique(cdist(featurize_codes(A), featurize_codes(B),
-    "sqeuclidean"), return_inverse=True)``, since on one-hot features that
-    distance is twice the Hamming distance of the codes.  The mismatches are
-    counted one field at a time, so no (len(A), len(B), fields) array is built.
+    "sqeuclidean"), return_inverse=True)``, index dtype (``intp``) included,
+    since on one-hot features that distance is twice the Hamming distance of
+    the codes; ``hamming_table(codes, codes)`` is ``distance_table`` of their
+    features.  The mismatches are counted one field at a time, so no
+    (len(A), len(B), fields) array is built.
     """
     A = np.atleast_2d(A)
     B = np.atleast_2d(B)
@@ -189,7 +192,8 @@ def hamming_table(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         np.not_equal(a[:, None], b, out=differs)
         hamming += differs
     present = np.bincount(hamming.ravel(), minlength=fields + 1) > 0
-    rank = (np.cumsum(present) - 1).astype(hamming.dtype)
+    # An intp index, as np.unique gives: gathers through it are faster than through uint8.
+    rank = np.cumsum(present, dtype=np.intp) - 1
     return 2.0 * np.flatnonzero(present), rank[hamming]
 
 
@@ -289,7 +293,9 @@ class GPModel:
         p = self.params
         k_star = (p.signal_variance * np.exp(-uniq / (2.0 * p.lengthscale**2)))[index]
         mean = k_star @ self.alpha
-        v = solve_triangular(self.L, k_star.T, lower=True, check_finite=False)
+        # k_star is not needed after the mean, so the solve may overwrite it:
+        # k_star.T is column-major, and SciPy would otherwise copy it.
+        v = solve_triangular(self.L, k_star.T, lower=True, check_finite=False, overwrite_b=True)
         var = self.params.signal_variance - np.sum(v**2, axis=0)
         var = np.maximum(var, 0.0)
         return (

@@ -47,6 +47,7 @@ from .search_space import (
     random_codes,
     random_genome,
     search_space_size,
+    unique_codes,
 )
 
 Evaluator = Callable[[CellGenome], ObjectiveVector]
@@ -93,6 +94,10 @@ class RunConfig:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.evaluator, dict):
+            raise ValueError(f"evaluator must be a JSON object (dict), got {self.evaluator!r}")
+        if self.log_path is not None and not (isinstance(self.log_path, str) and self.log_path):
+            raise ValueError(f"log_path must be a non-empty string or null, got {self.log_path!r}")
         if not self.budget >= self.n_init >= 1:
             raise ValueError(f"need budget >= n_init >= 1, got {self.budget} / {self.n_init}")
         if self.num_blocks < 1:
@@ -163,15 +168,16 @@ def reference_point(history_values_t: np.ndarray) -> np.ndarray:
 
 
 def _fit_models(
+    codes: np.ndarray,
     history: list[EvaluationRecord],
     subset: tuple[str, ...],
     seed_key: list[int],
 ) -> dict[str, gp.GPModel]:
-    X = gp.featurize_batch([r.genome for r in history])
-    raw = objective_matrix(history, subset)
-    transformed = transform_values(raw, subset)
-    # Every objective is fit on the same X, so its distance table is shared.
-    table = gp.distance_table(X)
+    """One GP per objective on the history, whose encoded genomes are ``codes``."""
+    X = gp.featurize_codes(codes)
+    transformed = transform_values(objective_matrix(history, subset), subset)
+    # Every objective is fit on the same rows, so their distance table is shared.
+    table = gp.hamming_table(codes, codes)
     return {
         name: gp.fit(X, transformed[:, j], seed=seed_key + [j], table=table)
         for j, name in enumerate(subset)
@@ -251,12 +257,11 @@ def propose_next(
     subset = state.objective_subset
     front = pareto_filter(state.history, subset)
     on_front = {id(r) for r in front}
-    history_codes = state.history_codes()
-    parents = [history_codes[i] for i, r in enumerate(state.history) if id(r) in on_front]
-    pool = [random_codes(rng, state.num_blocks, POOL_RANDOM)]
-    pool += [mutate(p, rng, num_fields=1) for p in parents for _ in range(POOL_MUTATIONS_PER_PARETO)]
-    # np.unique sorts the rows lexicographically, as sorting the encoding tuples would.
-    pool = np.unique(np.vstack(pool), axis=0)
+    parents = state.history_codes()[[id(r) in on_front for r in state.history]]
+    randoms = random_codes(rng, state.num_blocks, POOL_RANDOM)
+    mutants = mutate(np.repeat(parents, POOL_MUTATIONS_PER_PARETO, axis=0), rng, num_fields=1)
+    # Sorted lexicographically, as sorting the encoding tuples would.
+    pool = unique_codes(np.vstack([randoms, mutants]))
     candidates = pool[[enc not in state.excluded for enc in map(tuple, pool.tolist())]]
     if not len(candidates):
         return _random_unevaluated(rng, state.excluded, state.num_blocks)
@@ -395,7 +400,9 @@ def _run(
             models = None
             # A GP needs two observations, so n_init = 1 still starts with two randoms.
             if source == SOURCE_BO and iteration >= max(config.n_init, 2):
-                models = _fit_models(state.history, subset, [config.seed, iteration])
+                models = _fit_models(
+                    state.history_codes(), state.history, subset, [config.seed, iteration]
+                )
             if source == SOURCE_RANDOM:
                 genome = _random_unevaluated(rng, state.excluded, config.num_blocks)
             else:

@@ -15,6 +15,10 @@ from scipy.special import ndtr
 
 from .records import EvaluationRecord, ObjectiveVector, normalize_subset, objective_matrix
 
+# Elements per (candidates, boxes) intermediate of the EHVI, so that the few
+# alive at once fit in a core's L2 cache.
+_CHUNK_ELEMENTS = 20_000
+
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector, subset=None) -> bool:
     """True iff ``a`` is no worse than ``b`` everywhere on the subset and differs."""
@@ -162,19 +166,22 @@ def hypervolume_improvements(
     stds = np.broadcast_to(np.asarray(0.0 if stds is None else stds, dtype=float), means.shape)
     own = np.prod(_expected_shortfall(ref[None, :], means, stds), axis=1)
     boxes = dominated_boxes(front_values, ref)
+    if not boxes.shape[0]:
+        return own
     # Box corners take few distinct values per axis: evaluate h_j there, then gather.
     corners = []
     for j in range(ref.shape[0]):
         values, index = np.unique(boxes[:, :, j], return_inverse=True)
         corners.append((values, index.reshape(boxes.shape[0], 2)))
     out = np.empty(means.shape[0])
-    # Chunk to bound the (chunk, boxes) intermediates.
-    chunk = max(1, 2_000_000 // max(boxes.shape[0], 1))
+    chunk = max(1, _CHUNK_ELEMENTS // boxes.shape[0])
     for start in range(0, means.shape[0], chunk):
         rows = slice(start, start + chunk)
         covered = 1.0
         for j, (values, index) in enumerate(corners):
             h = _expected_shortfall(values[None, :], means[rows, j : j + 1], stds[rows, j : j + 1])
             covered = covered * (h[:, index[:, 1]] - h[:, index[:, 0]])
-        out[rows] = covered.sum(axis=1)
+        # A left-to-right scan over the boxes, whatever the chunk's row count:
+        # sum() would add a one-row chunk pairwise and the others in order.
+        out[rows] = np.add.accumulate(covered, axis=1)[:, -1]
     return np.maximum(own - out, 0.0)

@@ -264,14 +264,49 @@ def mutate(codes, rng: np.random.Generator, num_fields: int) -> np.ndarray:
     Each chosen position is drawn uniformly over its legal set, so the result
     can coincide with the input and the Hamming distance is at most
     ``num_fields``.  ``codes`` must be a valid encoding; a genome is mutated
-    as ``decode(mutate(encode(genome), rng, k))``.
+    as ``decode(mutate(encode(genome), rng, k))``.  A (k, 4 nb) matrix has its
+    rows mutated in order, drawing from ``rng`` exactly as k calls on the
+    single rows do.
     """
-    out = np.array(codes, dtype=np.int64)
-    if out.ndim != 1 or out.size == 0 or out.size % FIELDS_PER_BLOCK:
-        raise GenomeError(f"encoded genome length {out.size} is not a positive multiple of 4")
-    if not 1 <= num_fields <= out.size:
-        raise ValueError(f"num_fields must be in 1..{out.size}, got {num_fields}")
-    limits = radices(out.size // FIELDS_PER_BLOCK)
-    for pos in sorted(rng.choice(out.size, size=num_fields, replace=False).tolist()):
-        out[pos] = rng.integers(limits[pos])
+    codes = np.asarray(codes, dtype=np.int64)
+    width = codes.shape[-1] if codes.ndim else 0
+    if codes.ndim not in (1, 2) or width == 0 or width % FIELDS_PER_BLOCK:
+        raise GenomeError(f"encoded genome length {width} is not a positive multiple of 4")
+    if not 1 <= num_fields <= width:
+        raise ValueError(f"num_fields must be in 1..{width}, got {num_fields}")
+    limits = radices(width // FIELDS_PER_BLOCK).tolist()
+    rows = codes.reshape(-1, width).tolist()
+    # Python ints and bound methods: the loop is about one choice and one scalar draw per field.
+    choice, integers = rng.choice, rng.integers
+    for row in rows:
+        for pos in sorted(choice(width, size=num_fields, replace=False).tolist()):
+            row[pos] = integers(limits[pos])
+    return np.array(rows, dtype=np.int64).reshape(codes.shape)
+
+
+@lru_cache
+def _rank_weights(num_blocks: int) -> np.ndarray:
+    """Place value of each encoded position in the mixed-radix rank, first field most significant.
+
+    Python ints (object dtype) once the ranks no longer fit in int64.
+    """
+    limits = radices(num_blocks).tolist()
+    weights = [1] * len(limits)
+    for i in range(len(limits) - 1, 0, -1):
+        weights[i - 1] = weights[i] * limits[i]
+    fits = search_space_size(num_blocks) <= np.iinfo(np.int64).max + 1
+    out = np.array(weights, dtype=np.int64 if fits else object)
+    out.flags.writeable = False
     return out
+
+
+def unique_codes(codes: np.ndarray) -> np.ndarray:
+    """Distinct rows of a code matrix in encoding order: ``np.unique(codes, axis=0)``.
+
+    Each row's mixed-radix rank (its index in :func:`enumerate_genomes`
+    order) is one integer, so one 1-D ``np.unique`` finds the first row of
+    each rank, in rank order, which is lexicographic row order.
+    """
+    codes = np.asarray(codes)
+    _, first = np.unique(codes @ _rank_weights(codes.shape[1] // FIELDS_PER_BLOCK), return_index=True)
+    return codes[first]

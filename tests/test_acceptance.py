@@ -156,6 +156,7 @@ def test_c04_gp_correctness():
     report("GP posterior closed form 1e-9, marginal likelihood oracle 1e-6, interpolation 1e-3")
 
 
+@pytest.mark.slow
 def test_c05_hypervolume():
     assert hypervolume_values(np.array([[1.0, 1.0]]), np.array([2.0, 2.0])) == 1.0
     assert hypervolume_values(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([3.0, 3.0])) == 3.0
@@ -201,6 +202,7 @@ def test_c06_energy_integration():
     report("energy integration exact fixtures + additivity at 1e-9")
 
 
+@pytest.mark.slow
 def test_c07_search_beats_random():
     t0 = time.perf_counter()
     _, _, ref = experiment_reference()

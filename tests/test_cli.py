@@ -79,6 +79,13 @@ class TestSearchCommand:
         assert main(["search", "--config", str(cfg_path)]) == 1
         assert "log" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, bad", [("evaluator", "synthetic"), ("log_path", 5)])
+    def test_bad_field_named_before_the_run(self, tmp_path, capsys, field, bad):
+        cfg_path, _ = write_config(tmp_path, **{field: bad})
+        assert main(["search", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
 
 class TestRandomCommand:
     def test_runs_and_tags_source(self, tmp_path):
@@ -116,6 +123,18 @@ class TestParetoCommand:
         assert main(["pareto", "--log", cfg["log_path"], "--stride", "2", "--out", str(out_path)]) == 0
         snaps = json.loads(out_path.read_text())["snapshots"]
         assert [s["records"] for s in snaps] == [2, 4, 6, 8]
+
+    @pytest.mark.parametrize("stride", ["0", "-5", "two"])
+    def test_stride_must_be_positive(self, tmp_path, capsys, stride):
+        cfg_path, cfg = write_config(tmp_path, budget=4)
+        main(["search", "--config", str(cfg_path)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["pareto", "--log", cfg["log_path"], f"--stride={stride}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --stride: must be a positive integer, got '{stride}'" in captured.err
 
     def test_subset_flag(self, tmp_path):
         cfg_path, cfg = write_config(tmp_path, budget=6)

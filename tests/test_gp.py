@@ -21,6 +21,7 @@ from hwnas.gp import (
     GPModel,
     KernelParams,
     cholesky,
+    distance_table,
     feature_dim,
     feature_codes,
     featurize,
@@ -427,7 +428,18 @@ class TestIntegerCodePath:
         uniq, inverse = np.unique(sq, return_inverse=True)
         table = hamming_table(a, b)
         assert table[0].tobytes() == uniq.tobytes()
+        assert table[1].dtype == inverse.dtype
         assert np.array_equal(table[1], inverse.reshape(sq.shape))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(nb=BLOCK_COUNTS, n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_training_table_from_codes_is_the_distance_table(self, nb, n, seed):
+        codes, _ = code_sets(np.random.default_rng(seed), nb, n, n)
+        got = hamming_table(codes, codes)
+        want = distance_table(featurize_codes(codes))
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].dtype == want[1].dtype == np.intp
+        assert np.array_equal(got[1], want[1])
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(

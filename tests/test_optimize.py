@@ -586,6 +586,22 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig.from_json_dict({"seed": 3, "budget": 20, "n_init": 4, **bad})
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("evaluator", "synthetic"),
+            ("evaluator", ["synthetic"]),
+            ("evaluator", None),
+            ("log_path", 5),
+            ("log_path", ""),
+            ("log_path", ["run.jsonl"]),
+        ],
+    )
+    def test_bad_evaluator_or_log_path_rejected_at_load(self, field, bad):
+        for load in (lambda d: RunConfig(**d), RunConfig.from_json_dict):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                load({"seed": 3, "budget": 20, "n_init": 4, field: bad})
+
     def test_json_round_trip(self):
         cfg = RunConfig(seed=3, budget=20, n_init=4, objective_subset=("time", "error"))
         back = RunConfig.from_json_dict(cfg.to_json_dict())

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hwnas import pareto
 from hwnas.pareto import (
     dominated_boxes,
     dominates,
@@ -312,3 +315,51 @@ class TestGridProperties:
             dominated_boxes(V, ref)
         with pytest.raises(ValueError):
             hypervolume_values(V, ref)
+
+
+def curved_front(rng, n, d):
+    """n mutually non-dominated points on a quarter sphere, so every point adds boxes."""
+    pts = rng.random((n, d)) + 1e-3
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+class TestImprovementChunks:
+    """The EHVI of a candidate does not depend on how the candidates are chunked."""
+
+    @staticmethod
+    def improvements(front, ref, means, stds, elements):
+        with mock.patch.object(pareto, "_CHUNK_ELEMENTS", elements):
+            return hypervolume_improvements(front, ref, means, stds).view(np.int64)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 3),
+        n=st.integers(0, 60),
+        m=st.integers(1, 300),
+        zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_for_one_row_and_all_rows(self, d, n, m, zero_share, seed):
+        rng = np.random.default_rng(seed)
+        front = curved_front(rng, n, d)
+        ref = np.full(d, 1.1)
+        means = rng.uniform(0.0, 1.2, size=(m, d))
+        stds = np.where(rng.random((m, d)) < zero_share, 0.0, rng.uniform(0.0, 0.3, size=(m, d)))
+        boxes = max(len(dominated_boxes(front, ref)), 1)
+        one_chunk = self.improvements(front, ref, means, stds, m * boxes)
+        assert np.array_equal(self.improvements(front, ref, means, stds, 1), one_chunk)
+        assert np.array_equal(self.improvements(front, ref, means, stds, pareto._CHUNK_ELEMENTS), one_chunk)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_module_chunk_splits_a_large_pool(self, d):
+        rng = np.random.default_rng(d)
+        front = curved_front(rng, 120, d)
+        ref = np.full(d, 1.1)
+        boxes = len(dominated_boxes(front, ref))
+        m = 3 * pareto._CHUNK_ELEMENTS // boxes + 7
+        means = rng.uniform(0.0, 1.2, size=(m, d))
+        stds = rng.uniform(0.0, 0.3, size=(m, d))
+        stds[::5] = 0.0
+        one_chunk = self.improvements(front, ref, means, stds, m * boxes)
+        assert np.array_equal(self.improvements(front, ref, means, stds, pareto._CHUNK_ELEMENTS), one_chunk)
+        assert np.array_equal(self.improvements(front, ref, means, stds, 1), one_chunk)

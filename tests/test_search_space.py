@@ -19,6 +19,7 @@ from hwnas.search_space import (
     random_codes,
     random_genome,
     search_space_size,
+    unique_codes,
     unused_block_outputs,
     validate_genome,
 )
@@ -282,3 +283,55 @@ class TestIntegerCodes:
         reference.bit_generator.state = state
         assert tuple(out.tolist()) == scalar_mutate(codes.tolist(), reference, k)
         assert reference.bit_generator.state == rng.bit_generator.state
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(nb=BLOCK_COUNTS, count=st.integers(0, 12), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_mutate_matrix_is_its_rows_mutated_in_order(self, nb, count, data, seed):
+        rng = np.random.default_rng(seed)
+        codes = random_codes(rng, nb, count)
+        given_codes = codes.copy()
+        k = data.draw(st.integers(1, 4 * nb))
+        matrix_rng, row_rng, scalar_rng = (np.random.default_rng() for _ in range(3))
+        for other in (matrix_rng, row_rng, scalar_rng):
+            other.bit_generator.state = rng.bit_generator.state
+        out = mutate(codes, matrix_rng, k)
+        assert out.shape == codes.shape and out.dtype == np.int64
+        assert np.array_equal(codes, given_codes)
+        rows = [tuple(row) for row in out.tolist()]
+        assert rows == [tuple(mutate(row, row_rng, k).tolist()) for row in codes]
+        assert rows == [scalar_mutate(row, scalar_rng, k) for row in codes.tolist()]
+        assert matrix_rng.bit_generator.state == row_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    def test_mutate_rejects_other_shapes(self):
+        rng = np.random.default_rng(0)
+        for bad in (np.zeros((2, 3), dtype=int), np.zeros((1, 2, 4), dtype=int), np.zeros((3, 0), dtype=int), 5):
+            with pytest.raises(GenomeError):
+                mutate(bad, rng, 1)
+        with pytest.raises(ValueError):
+            mutate(np.zeros((2, 4), dtype=int), rng, 5)
+
+
+class TestUniqueCodes:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        nb=st.sampled_from([1, 2, 3, 4, 5, 7]),
+        count=st.integers(0, 300),
+        copies=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_and_order_of_unique_axis_0(self, nb, count, copies, seed):
+        # 7 blocks take the Python-int ranks: the space outgrows int64.
+        rng = np.random.default_rng(seed)
+        codes = random_codes(rng, nb, count)
+        codes = np.vstack([codes, codes[::2], mutate(np.repeat(codes, copies, axis=0), rng, 1)])
+        codes = codes[rng.permutation(len(codes))]
+        got = unique_codes(codes)
+        want = np.unique(codes, axis=0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("nb", [1, 2])
+    def test_order_is_enumeration_order(self, nb):
+        every = np.array([encode(g) for g in enumerate_genomes(nb)])
+        shuffled = every[np.random.default_rng(nb).permutation(len(every))]
+        assert np.array_equal(unique_codes(np.vstack([shuffled, shuffled[::3]])), every)
