@@ -71,6 +71,13 @@ class EvaluatorError(RuntimeError):
     """External evaluator invocation failure (timeout, exit code, bad response)."""
 
 
+class ResponseError(EvaluatorError):
+    """The adapter exited 0 and wrote ``response.json``, but it is not a valid measurement.
+
+    A second launch would repeat the measurement, so the search loop does not retry it.
+    """
+
+
 @dataclass(frozen=True)
 class PowerTrace:
     """Sampled power curve: strictly increasing timestamps (ms), powers (W)."""
@@ -313,23 +320,23 @@ class EvaluationRequest:
 
 def _parse_response(raw: dict, workdir: Path) -> ObjectiveVector:
     if "error" not in raw:
-        raise EvaluatorError("response.json missing 'error'")
+        raise ResponseError("response.json missing 'error'")
     error = float(raw["error"])
     direct = "energy_j" in raw and "time_s" in raw
     traced = "trace_path" in raw
     if direct == traced:
-        raise EvaluatorError(
+        raise ResponseError(
             "response.json must carry exactly one of {energy_j,time_s} or {trace_path,threshold_w}"
         )
     if direct:
         return ObjectiveVector(error=error, energy_j=float(raw["energy_j"]), time_s=float(raw["time_s"]))
     if "threshold_w" not in raw:
-        raise EvaluatorError("trace response requires 'threshold_w'")
+        raise ResponseError("trace response requires 'threshold_w'")
     trace_path = Path(raw["trace_path"])
     if not trace_path.is_absolute():
         trace_path = workdir / trace_path
     if not trace_path.exists():
-        raise EvaluatorError(f"trace file not found: {trace_path}")
+        raise ResponseError(f"trace file not found: {trace_path}")
     trace = PowerTrace.from_csv(trace_path)
     t1, t2 = segment_trace(trace, float(raw["threshold_w"]))
     return ObjectiveVector(
@@ -349,7 +356,8 @@ def external_evaluate(
 
     Writes ``<workdir>/request.json``, invokes the adapter command with the
     working directory set, then reads ``<workdir>/response.json``.  Exit code
-    0 is required; stderr is surfaced on failure.
+    0 is required; stderr is surfaced on failure.  A response that is there
+    but is not a valid measurement raises :class:`ResponseError`.
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -381,12 +389,12 @@ def external_evaluate(
         raise EvaluatorError(f"adapter wrote no {response_path}")
     try:
         raw = json.loads(response_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise EvaluatorError(f"response.json is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ResponseError(f"response.json is not valid JSON: {exc}") from exc
     try:
         return _parse_response(raw, workdir)
-    except (ValueError, TraceError) as exc:
-        raise EvaluatorError(f"malformed response: {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ResponseError(f"malformed response: {exc}") from exc
 
 
 def build_evaluator(spec: dict, macro: MacroConfig):

@@ -5,12 +5,12 @@ shared lengthscale over a one-hot expansion of the encoded genome.  On those
 features the squared distance of two genomes is twice the Hamming distance of
 their encodings and takes at most ``4 * nb + 1`` values, so covariances are
 built from a (unique values, index) distance table: each model exponentiates
-the unique values and gathers them.  The search loop builds its tables
-straight from the integer codes (:func:`hamming_table`): one of the training
-rows, shared by the objectives' fits, and one of the candidate pool against
-them, shared by the posteriors (:meth:`GPModel.predict_table`);
-:meth:`GPModel.predict_features` is the same posterior for any real-valued
-feature rows.  Hyperparameters maximize the log
+the unique values and gathers them.  The search loop builds both of its
+tables from the integer codes it already holds (:func:`hamming_table`), never
+from features: one of the training rows, shared by the objectives' fits, and
+one of the candidate pool against them, shared by the posteriors
+(:meth:`GPModel.predict_table`); :meth:`GPModel.predict_features` is the same
+posterior for any real-valued feature rows.  Hyperparameters maximize the log
 marginal likelihood by a seeded multi-start search: bounded Powell (Powell
 1964) with Brent's bounded line search (Brent 1973), implemented in this
 module as SciPy 1.17's ``minimize(method="Powell", bounds=...)`` does it, so
@@ -68,26 +68,6 @@ def featurize_codes(codes: np.ndarray) -> np.ndarray:
     out = np.zeros((codes.shape[0], feature_dim(num_blocks)))
     np.put_along_axis(out, _field_offsets(num_blocks) + codes, 1.0, axis=1)
     return out
-
-
-def feature_codes(X: np.ndarray) -> np.ndarray:
-    """Encoded genomes of one-hot feature rows: the inverse of :func:`featurize_codes`.
-
-    Raises ``ValueError`` when some row is not the features of a genome.
-    """
-    X = np.atleast_2d(X)
-    n, dim = X.shape
-    num_blocks = 1
-    while feature_dim(num_blocks) < dim:
-        num_blocks += 1
-    rows, cols = np.nonzero(X)
-    if feature_dim(num_blocks) == dim and cols.size == n * FIELDS_PER_BLOCK * num_blocks:
-        codes = cols.reshape(n, -1) - _field_offsets(num_blocks)
-        if np.all((codes >= 0) & (codes < radices(num_blocks))) and np.array_equal(
-            featurize_codes(codes), X
-        ):
-            return codes
-    raise ValueError("feature rows are not the one-hot features of genomes")
 
 
 def featurize(genome: CellGenome) -> np.ndarray:
@@ -241,6 +221,13 @@ def log_marginal_likelihood(params: KernelParams, X: np.ndarray, y: np.ndarray) 
     return -_neg_lml(L, alpha, y, 0.5 * y.shape[0] * np.log(2.0 * np.pi))
 
 
+def _standardization(y_raw: np.ndarray) -> tuple[float, float]:
+    """(mean, std) that standardize the targets ``y_raw``."""
+    std = float(np.std(y_raw))
+    # Constant targets degenerate to std 0; clamp so the model stays defined.
+    return float(np.mean(y_raw)), std if std > 1e-12 else 1.0
+
+
 class GPModel:
     """Fitted GP: training features, standardized targets, cached Cholesky factor."""
 
@@ -258,14 +245,7 @@ class GPModel:
         if self.X.shape[0] != y_raw.shape[0] or y_raw.shape[0] < 1:
             raise ValueError("X and y must agree and be non-empty")
         self.y_raw = y_raw
-        if standardize:
-            self.target_mean = float(np.mean(y_raw))
-            std = float(np.std(y_raw))
-            # Constant targets degenerate to std 0; clamp so the model stays defined.
-            self.target_std = std if std > 1e-12 else 1.0
-        else:
-            self.target_mean = 0.0
-            self.target_std = 1.0
+        self.target_mean, self.target_std = _standardization(y_raw) if standardize else (0.0, 1.0)
         self.y = (y_raw - self.target_mean) / self.target_std
 
         if table is None:
@@ -504,10 +484,7 @@ def fit(
     if y_raw.shape[0] < 2:
         raise GPError("fit requires at least 2 observations")
 
-    mean = float(np.mean(y_raw))
-    std = float(np.std(y_raw))
-    if std <= 1e-12:
-        std = 1.0
+    mean, std = _standardization(y_raw)
     y = (y_raw - mean) / std
     if table is None:
         table = distance_table(X)

@@ -57,6 +57,14 @@ class MacroConfig:
     num_classes: int = 10
 
     def __post_init__(self) -> None:
+        for name in ("N", "F", "num_reduction_cells", "num_classes"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise BuildError(f"{name} must be an int, got {value!r}")
+        shape = self.input_shape
+        dims = [shape.height, shape.width, shape.channels]
+        if any(type(v) is not int for v in dims):
+            raise BuildError(f"input_shape must hold three ints, got {dims!r}")
         if self.N < 1 or self.F < 1:
             raise BuildError("N and F must be >= 1")
         if self.num_reduction_cells < 0:
@@ -87,8 +95,7 @@ class MacroConfig:
     def from_json_dict(cls, d: dict) -> "MacroConfig":
         kwargs = dict(d)
         if "input_shape" in kwargs:
-            h, w, c = kwargs["input_shape"]
-            kwargs["input_shape"] = TensorShape(int(h), int(w), int(c))
+            kwargs["input_shape"] = TensorShape(*kwargs["input_shape"])
         return cls(**kwargs)
 
 

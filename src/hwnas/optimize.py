@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import gp
+from .evaluation import ResponseError
 from .network import MacroConfig
 from .pareto import hypervolume_improvements, pareto_filter
 from .records import (
@@ -119,8 +120,11 @@ class RunConfig:
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunConfig":
         kwargs = dict(d)
-        if "macro" in kwargs and not isinstance(kwargs["macro"], MacroConfig):
-            kwargs["macro"] = MacroConfig.from_json_dict(kwargs["macro"])
+        macro = kwargs.get("macro")
+        if isinstance(macro, dict):
+            kwargs["macro"] = MacroConfig.from_json_dict(macro)
+        elif "macro" in kwargs and not isinstance(macro, MacroConfig):
+            raise ValueError(f"macro must be a JSON object (dict), got {macro!r}")
         if "objective_subset" in kwargs and kwargs["objective_subset"] is not None:
             kwargs["objective_subset"] = tuple(kwargs["objective_subset"])
         unknown = set(kwargs) - {f for f in cls.__dataclass_fields__}
@@ -138,7 +142,6 @@ class SearchState:
     """
 
     history: list[EvaluationRecord]
-    budget: int
     objective_subset: tuple[str, ...]
     num_blocks: int
     n_init: int
@@ -184,34 +187,23 @@ def _fit_models(
     }
 
 
-def _front_values_t(records: list[EvaluationRecord], subset) -> np.ndarray:
-    if not records:
-        return np.empty((0, len(subset)))
-    return transform_values(objective_matrix(records, subset), subset)
-
-
 def _acquisition_batch(
     models: dict[str, gp.GPModel],
     subset: tuple[str, ...],
     front_t: np.ndarray,
     ref: np.ndarray,
-    codes: np.ndarray,
+    table: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """Exact EHVI of each encoded genome, from the per-objective posteriors (model space).
+    """Exact EHVI of each candidate, from the per-objective posteriors (model space).
 
-    The distances of the candidates to a model's training rows are one
-    Hamming table, shared by every model trained on the same rows.
+    Every model is fit on the same training rows, in order, and ``table`` is
+    ``gp.hamming_table(candidates, training codes)``: one distance table
+    shared by the posteriors.
     """
-    n = codes.shape[0]
-    d = len(subset)
-    means = np.empty((n, d))
-    stds = np.empty((n, d))
-    tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    means = np.empty((table[1].shape[0], len(subset)))
+    stds = np.empty_like(means)
     for j, name in enumerate(subset):
-        model = models[name]
-        if id(model.X) not in tables:
-            tables[id(model.X)] = gp.hamming_table(codes, gp.feature_codes(model.X))
-        mean, var = model.predict_table(tables[id(model.X)])
+        mean, var = models[name].predict_table(table)
         means[:, j] = mean
         stds[:, j] = np.sqrt(var)
     # Duplicate objective rows add nothing to the union of boxes; dedupe for speed.
@@ -250,6 +242,10 @@ def propose_next(
     plus 10 single-field mutations of each current Pareto genome, minus
     everything already evaluated; the acquisition argmax wins, ties broken by
     lowest encoding.
+
+    ``models`` (one per objective of ``state.objective_subset``) must be fit
+    on ``state.history``, in order, as the search loop fits them: the pool is
+    scored against the history's codes.
     """
     if models is None or len(state.history) < state.n_init:
         return _random_unevaluated(rng, state.excluded, state.num_blocks)
@@ -266,10 +262,10 @@ def propose_next(
     if not len(candidates):
         return _random_unevaluated(rng, state.excluded, state.num_blocks)
 
-    history_t = _front_values_t(state.history, subset)
-    ref = reference_point(history_t)
-    front_t = _front_values_t(front, subset)
-    scores = _acquisition_batch(models, subset, front_t, ref, candidates)
+    ref = reference_point(transform_values(objective_matrix(state.history, subset), subset))
+    front_t = transform_values(objective_matrix(front, subset), subset)
+    table = gp.hamming_table(candidates, state.history_codes())
+    scores = _acquisition_batch(models, subset, front_t, ref, table)
     return decode(candidates[int(np.argmax(scores))], state.num_blocks)
 
 
@@ -346,14 +342,20 @@ class _LogLock:
 
 def _evaluate_with_retries(
     evaluator: Evaluator, genome: CellGenome
-) -> tuple[ObjectiveVector | None, str | None]:
-    last_error = None
-    for _ in range(1 + EVALUATOR_RETRIES):
+) -> tuple[ObjectiveVector | None, str | None, int]:
+    """(objectives, error, attempts): up to 1 + ``EVALUATOR_RETRIES`` attempts.
+
+    A :class:`ResponseError` is not retried: the measurement was made, and a
+    second launch would repeat it.
+    """
+    for attempt in range(1, 2 + EVALUATOR_RETRIES):
         try:
-            return evaluator(genome), None
-        except Exception as exc:  # noqa: BLE001 - any evaluator failure is retried
-            last_error = f"{type(exc).__name__}: {exc}"
-    return None, last_error
+            return evaluator(genome), None, attempt
+        except Exception as exc:  # noqa: BLE001 - any other evaluator failure is retried
+            error = f"{type(exc).__name__}: {exc}"
+            if isinstance(exc, ResponseError):
+                break
+    return None, error, attempt
 
 
 def _run(
@@ -386,7 +388,6 @@ def _run(
 
         state = SearchState(
             history=history,
-            budget=budget,
             objective_subset=subset,
             num_blocks=config.num_blocks,
             n_init=config.n_init,
@@ -408,7 +409,7 @@ def _run(
             else:
                 genome = propose_next(state, models, rng)
 
-            objectives, error = _evaluate_with_retries(evaluator, genome)
+            objectives, error, attempts = _evaluate_with_retries(evaluator, genome)
             if objectives is None:
                 # Budget is not consumed; the genome is excluded so the
                 # deterministic proposal cannot loop on it forever.
@@ -423,7 +424,7 @@ def _run(
                             "genome": genome.to_json_dict(),
                             "objectives": None,
                             "timestamp": logical_timestamp(iteration),
-                            "meta": {"failed": True, "error": error, "attempts": 1 + EVALUATOR_RETRIES},
+                            "meta": {"failed": True, "error": error, "attempts": attempts},
                         },
                     )
                 if verbose:

@@ -86,6 +86,22 @@ class TestSearchCommand:
         assert capsys.readouterr().err.startswith(f"error: {field} must be")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize(
+        "macro, message",
+        [
+            ({"N": 2.5}, "N must be an int"),
+            ({"N": 2.0}, "N must be an int"),
+            ({"num_classes": True}, "num_classes must be an int"),
+            ({"input_shape": [32.7, 32, 3]}, "input_shape must hold three ints"),
+            ([2, 24], "macro must be a JSON object"),
+        ],
+    )
+    def test_bad_macro_refused_before_the_run(self, tmp_path, capsys, macro, message):
+        cfg_path, _ = write_config(tmp_path, macro=macro)
+        assert main(["search", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
 
 class TestRandomCommand:
     def test_runs_and_tags_source(self, tmp_path):

@@ -21,6 +21,7 @@ from hwnas.evaluation import (
     EvaluationRequest,
     EvaluatorError,
     PowerTrace,
+    ResponseError,
     TraceError,
     build_evaluator,
     external_evaluate,
@@ -520,6 +521,15 @@ class TestExternalEvaluate:
         cmd = write_adapter(tmp_path, ADAPTER_TRACE)  # trace.csv never written
         with pytest.raises(EvaluatorError, match="trace file"):
             external_evaluate(sample_request(), cmd, tmp_path, timeout_s=30)
+
+    def test_only_a_written_response_is_a_response_error(self, tmp_path):
+        bad_json = "#!/usr/bin/env python3\nimport pathlib\npathlib.Path('response.json').write_text('{')\n"
+        for body in (ADAPTER_MALFORMED, bad_json):
+            with pytest.raises(ResponseError):
+                external_evaluate(sample_request(), write_adapter(tmp_path, body), tmp_path, timeout_s=30)
+        with pytest.raises(EvaluatorError) as failure:
+            external_evaluate(sample_request(), write_adapter(tmp_path, ADAPTER_FAIL), tmp_path, timeout_s=30)
+        assert not isinstance(failure.value, ResponseError)
 
     def test_timeout(self, tmp_path):
         cmd = write_adapter(tmp_path, "#!/usr/bin/env python3\nimport time\ntime.sleep(5)\n")

@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 
 from hwnas.evaluation import build_evaluator, get_profile, synthetic_evaluate
-from hwnas.gp import featurize_batch, fit
+from hwnas.gp import featurize_batch, fit, hamming_table
 from hwnas.network import MacroConfig
 from hwnas.optimize import (
+    EVALUATOR_RETRIES,
     ConfigMismatchError,
     LogLockedError,
     RunConfig,
     SearchState,
     SpaceExhaustedError,
     _acquisition_batch,
-    _front_values_t,
     propose_next,
     reference_point,
     reevaluate_cross_device,
@@ -122,14 +122,17 @@ class TestReferencePoint:
         assert np.all(ref > vals.max(axis=0))
 
 
-def ehvi_of(models, front, candidate, ref=None):
-    """Exact EHVI of one candidate, through the pool scorer with a one-row batch."""
+def ehvi_of(models, records, front, candidate, ref=None):
+    """Exact EHVI of one candidate, through the pool scorer with a one-row batch.
+
+    ``models`` are fit on ``records``, in order.
+    """
     subset = normalize_subset(models.keys())
-    front_t = _front_values_t(front, subset)
+    front_t = transform_values(objective_matrix(front, subset), subset)
     if ref is None:
         ref = reference_point(front_t)
-    codes = np.array([encode(candidate)])
-    return float(_acquisition_batch(models, subset, front_t, ref, codes)[0])
+    table = hamming_table(np.array([encode(candidate)]), np.array([encode(r.genome) for r in records]))
+    return float(_acquisition_batch(models, subset, front_t, ref, table)[0])
 
 
 class TestAcquisition:
@@ -153,8 +156,8 @@ class TestAcquisition:
         records, models = self.setup_models()
         front = pareto_filter(records)
         cand = random_genome(np.random.default_rng(5), 1)
-        a = ehvi_of(models, front, cand)
-        b = ehvi_of(models, front, cand)
+        a = ehvi_of(models, records, front, cand)
+        b = ehvi_of(models, records, front, cand)
         assert a == b
 
     def test_scores_nonnegative(self):
@@ -162,7 +165,7 @@ class TestAcquisition:
         front = pareto_filter(records)
         rng = np.random.default_rng(1)
         for _ in range(10):
-            s = ehvi_of(models, front, random_genome(rng, 1))
+            s = ehvi_of(models, records, front, random_genome(rng, 1))
             assert s >= 0.0
 
     def test_evaluated_dominated_candidate_scores_near_zero(self):
@@ -188,7 +191,7 @@ class TestAcquisition:
             name: GPModel(X, T[:, j], KernelParams(2.0, 1.0, 1e-6))
             for j, name in enumerate(subset)
         }
-        score = ehvi_of(tight, front, loser.genome)
+        score = ehvi_of(tight, records, front, loser.genome)
         assert score < 1e-3
 
     def test_empty_front_equals_expected_dominated_volume(self):
@@ -197,7 +200,7 @@ class TestAcquisition:
         hist_t = transform_values(objective_matrix(records, subset), subset)
         ref = reference_point(hist_t)
         cand = random_genome(np.random.default_rng(7), 1)
-        score = ehvi_of(models, [], cand, ref=ref)
+        score = ehvi_of(models, records, [], cand, ref=ref)
         # Monte-Carlo oracle: expected volume of [sample, ref].
         from hwnas.gp import featurize
 
@@ -216,7 +219,7 @@ class TestAcquisition:
 
 class TestProposeNext:
     def test_warmup_is_random_valid(self):
-        state = SearchState(history=[], budget=5, objective_subset=normalize_subset(None),
+        state = SearchState(history=[], objective_subset=normalize_subset(None),
                             num_blocks=5, n_init=3)
         g = propose_next(state, None, np.random.default_rng(0))
         assert g.num_blocks == 5
@@ -231,14 +234,13 @@ class TestProposeNext:
         ]
         state = SearchState(
             history=records,
-            budget=256,
             objective_subset=normalize_subset(None),
             num_blocks=1,
             n_init=3,
             excluded={encode(r.genome) for r in records},
         )
-        X = featurize_batch([r.genome for r in records[:30]])
-        T = transform_values(objective_matrix(records[:30]), None)
+        X = featurize_batch([r.genome for r in records])
+        T = transform_values(objective_matrix(records), None)
         models = {name: fit(X, T[:, j], seed=j) for j, name in enumerate(normalize_subset(None))}
         g = propose_next(state, models, np.random.default_rng(1))
         assert encode(g) == encode(genomes[255])
@@ -247,7 +249,6 @@ class TestProposeNext:
         genomes = list(enumerate_genomes(1))
         state = SearchState(
             history=[],
-            budget=300,
             objective_subset=normalize_subset(None),
             num_blocks=1,
             n_init=3,
@@ -257,7 +258,7 @@ class TestProposeNext:
             propose_next(state, None, np.random.default_rng(0))
 
     def test_deterministic_proposals(self):
-        state = SearchState(history=[], budget=5, objective_subset=normalize_subset(None),
+        state = SearchState(history=[], objective_subset=normalize_subset(None),
                             num_blocks=5, n_init=3)
         a = propose_next(state, None, np.random.default_rng(4))
         b = propose_next(state, None, np.random.default_rng(4))
@@ -459,6 +460,53 @@ class TestRunSearch:
         assert failed_enc not in {encode(r.genome) for r in successes}
 
 
+    # Fails (FAIL) for the first genome it is asked to measure, measures every other; logs each launch.
+    ADAPTER_FAILS_FIRST_GENOME = """#!/usr/bin/env python3
+import json, pathlib, sys
+genome = json.loads(pathlib.Path("request.json").read_text())["genome"]
+first = pathlib.Path("first.json")
+if not first.exists():
+    first.write_text(json.dumps(genome))
+with open("launches.txt", "a") as f:
+    f.write(json.dumps(genome) + "\\n")
+response = {"error": 0.25, "energy_j": 2.0, "time_s": 0.05}
+if genome == json.loads(first.read_text()):
+    FAIL
+pathlib.Path("response.json").write_text(json.dumps(response))
+"""
+
+    @pytest.mark.parametrize(
+        "fail, attempts, error",
+        [
+            # A response the adapter wrote after a measurement is not retried: a launch would repeat it.
+            ('response["error"] = 1.5', 1, "ResponseError: malformed response: error must be a fraction"),
+            ('pathlib.Path("response.json").write_text("{"); sys.exit(0)', 1, "ResponseError: response.json is not valid JSON"),
+            ("sys.exit(1)", 1 + EVALUATOR_RETRIES, "EvaluatorError: adapter exited with 1"),
+        ],
+        ids=["invalid-measurement", "invalid-json", "nonzero-exit"],
+    )
+    def test_external_failure_attempts(self, tmp_path, fail, attempts, error):
+        from test_evaluation import write_adapter
+
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        command = write_adapter(workdir, self.ADAPTER_FAILS_FIRST_GENOME.replace("FAIL", fail))
+        spec = {"type": "external", "command": command, "workdir": str(workdir), "timeout_s": 30}
+        cfg = small_config(tmp_path, budget=2, n_init=2, evaluator=spec)
+        ev, _ = build_evaluator(spec, cfg.macro)
+        records = run_search(cfg, ev)
+        assert len(records) == 2
+        successes, failures = split_log_entries(read_log(cfg.log_path))
+        assert len(successes) == 2 and len(failures) == 1
+        assert failures[0]["meta"]["attempts"] == attempts
+        assert failures[0]["meta"]["error"].startswith(error)
+        launches = [json.loads(line) for line in (workdir / "launches.txt").read_text().splitlines()]
+        first = json.loads((workdir / "first.json").read_text())
+        assert failures[0]["genome"] == first
+        assert launches.count(first) == attempts
+        assert len(launches) == attempts + 2
+
+
 class TestRunRandom:
     def test_identical_logs_same_seed(self, tmp_path):
         cfg_a = small_config(tmp_path, log_path=str(tmp_path / "a.jsonl"))
@@ -601,6 +649,26 @@ class TestRunConfig:
         for load in (lambda d: RunConfig(**d), RunConfig.from_json_dict):
             with pytest.raises(ValueError, match=f"^{field} must be"):
                 load({"seed": 3, "budget": 20, "n_init": 4, field: bad})
+
+    @pytest.mark.parametrize(
+        "macro, message",
+        [
+            ({"N": 2.5}, "N must be an int"),
+            ({"N": 2.0}, "N must be an int"),
+            ({"F": "24"}, "F must be an int"),
+            ({"num_reduction_cells": 2.0}, "num_reduction_cells must be an int"),
+            ({"num_classes": True}, "num_classes must be an int"),
+            ({"input_shape": [32.7, 32, 3]}, "input_shape must hold three ints"),
+            ({"input_shape": [32, 32.0, 3]}, "input_shape must hold three ints"),
+            ({"input_shape": [32, 32, True]}, "input_shape must hold three ints"),
+            ([2, 24], "macro must be a JSON object"),
+            ("default", "macro must be a JSON object"),
+            (None, "macro must be a JSON object"),
+        ],
+    )
+    def test_bad_macro_rejected_at_load(self, macro, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            RunConfig.from_json_dict({"seed": 3, "budget": 20, "n_init": 4, "macro": macro})
 
     def test_json_round_trip(self):
         cfg = RunConfig(seed=3, budget=20, n_init=4, objective_subset=("time", "error"))
