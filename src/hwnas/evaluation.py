@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import shlex
 import subprocess
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -163,7 +164,6 @@ class DeviceProfile:
     error_floor: float = 0.05
     error_ceiling: float = 0.40
     error_scale_params: float = 1.5e6
-    noise: float = 0.0
 
     def __post_init__(self) -> None:
         if self.threshold_w <= 0:
@@ -262,11 +262,12 @@ def synthetic_evaluate(
     macro: MacroConfig,
     profile: DeviceProfile,
     seed: int = 0,
+    noise: float = 0.0,
 ) -> ObjectiveVector:
     """Deterministic desk-scale objectives derived from graph cost counts.
 
-    A pure function of (genome, macro, profile, seed); the optional noise term
-    is seeded from the genome encoding so repeated calls agree.
+    A pure function of its arguments; a positive ``noise`` perturbs the error
+    by up to ±noise, seeded from ``seed`` and the genome so repeated calls agree.
     """
     net = build_network(genome, macro)
     time_s = net.total_flops / profile.throughput_macs
@@ -274,9 +275,9 @@ def synthetic_evaluate(
     error = profile.error_floor + (profile.error_ceiling - profile.error_floor) * float(
         np.exp(-net.total_params / profile.error_scale_params)
     )
-    if profile.noise > 0:
+    if noise > 0:
         rng = np.random.default_rng([int(seed)] + [v + 1 for v in encode(genome)])
-        error += float(rng.uniform(-profile.noise, profile.noise))
+        error += float(rng.uniform(-noise, noise))
         error = min(max(error, 0.0), 1.0)
     return ObjectiveVector(error=error, energy_j=energy_j, time_s=time_s)
 
@@ -292,30 +293,6 @@ _TRAINING_DEFAULTS = {
     "lr_decay_every_epochs": 2,
     "weight_decay": 0.00004,
 }
-
-
-@dataclass(frozen=True)
-class EvaluationRequest:
-    """Payload written to ``request.json`` for an external adapter."""
-
-    genome: dict
-    N: int
-    F: int
-    num_classes: int
-    device: str
-    training: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        training = dict(_TRAINING_DEFAULTS)
-        training.update(self.training)
-        return {
-            "genome": self.genome,
-            "N": self.N,
-            "F": self.F,
-            "num_classes": self.num_classes,
-            "training": training,
-            "device": self.device,
-        }
 
 
 def _parse_response(raw: dict, workdir: Path) -> ObjectiveVector:
@@ -347,23 +324,21 @@ def _parse_response(raw: dict, workdir: Path) -> ObjectiveVector:
 
 
 def external_evaluate(
-    request: EvaluationRequest,
+    request: dict,
     command: str | list[str],
     workdir: str | Path,
     timeout_s: float = 3600.0,
 ) -> ObjectiveVector:
     """Run one external evaluation through the request/response file protocol.
 
-    Writes ``<workdir>/request.json``, invokes the adapter command with the
-    working directory set, then reads ``<workdir>/response.json``.  Exit code
-    0 is required; stderr is surfaced on failure.  A response that is there
-    but is not a valid measurement raises :class:`ResponseError`.
+    Writes ``request`` to ``<workdir>/request.json``, invokes the adapter
+    command with the working directory set, then reads ``response.json``.
+    Exit code 0 is required; stderr is surfaced on failure.  A response that
+    is there but is not a valid measurement raises :class:`ResponseError`.
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    (workdir / "request.json").write_text(
-        json.dumps(request.to_json_dict(), indent=2), encoding="utf-8"
-    )
+    (workdir / "request.json").write_text(json.dumps(request, indent=2), encoding="utf-8")
     argv = shlex.split(command) if isinstance(command, str) else list(command)
     try:
         # stdout is never read; stderr is kept as bytes, since an adapter may
@@ -397,44 +372,68 @@ def external_evaluate(
         raise ResponseError(f"malformed response: {exc}") from exc
 
 
-def build_evaluator(spec: dict, macro: MacroConfig):
-    """Turn an evaluator spec into ``(callable genome -> ObjectiveVector, device name)``.
+# The keys each evaluator type reads besides "type"; for each, what it must be and a check.
+_SPEC_KEYS = {
+    "synthetic": ("profile", "seed", "noise"),
+    "external": ("command", "workdir", "timeout_s", "device", "training"),
+}
+_SPEC_CHECKS = {
+    "profile": (f"one of {sorted(BUILTIN_PROFILES)}", lambda v: isinstance(v, str) and v in BUILTIN_PROFILES),
+    "seed": ("an int >= 0", lambda v: type(v) is int and v >= 0),
+    "noise": ("a finite number >= 0", lambda v: type(v) in (int, float) and 0 <= v < math.inf),
+    "command": (  # each item of a string is a string too
+        "a non-empty string or list of strings",
+        lambda v: type(v) in (str, list) and len(v) > 0 and all(isinstance(c, str) for c in v),
+    ),
+    "workdir": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    "timeout_s": ("a finite number > 0", lambda v: type(v) in (int, float) and 0 < v < math.inf),
+    "device": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    "training": ("a JSON object (dict)", lambda v: isinstance(v, dict)),
+}
 
-    Synthetic: {"type": "synthetic", "profile": name, "seed": int, "noise": float}.
-    External:  {"type": "external", "command": str|list, "workdir": path,
-                "timeout_s": float, "device": name, "training": {...}}.
+
+def build_evaluator(spec: dict, macro: MacroConfig):
+    """Check an evaluator spec; return ``(callable genome -> ObjectiveVector, device name)``.
+
+    The one reader of the spec.  ``type`` is "synthetic" (the default) or
+    "external".  Synthetic keys: ``profile`` ("movidius-ncs"; it names the
+    device), ``seed`` (0), ``noise`` (0.0).  External keys: ``command`` and
+    ``workdir`` (required), ``timeout_s`` (3600), ``device`` ("external"),
+    ``training`` ({}, merged over the defaults).  A bad spec raises ``ValueError``
+    naming the field; ``RunConfig`` calls this when a config is loaded.
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"evaluator must be a JSON object (dict), got {spec!r}")
     kind = spec.get("type", "synthetic")
+    if not (isinstance(kind, str) and kind in _SPEC_KEYS):
+        raise ValueError(f"evaluator type must be one of {sorted(_SPEC_KEYS)}, got {kind!r}")
+    unknown = set(spec) - {"type", *_SPEC_KEYS[kind]}
+    if unknown:
+        raise ValueError(f"evaluator fields not read by type {kind!r}: {sorted(unknown)}")
+    for key in _SPEC_KEYS[kind]:
+        wanted, check = _SPEC_CHECKS[key]
+        if key in spec and not check(spec[key]):
+            raise ValueError(f"evaluator {key} must be {wanted}, got {spec[key]!r}")
+
     if kind == "synthetic":
-        profile = get_profile(spec.get("profile", "movidius-ncs"))
-        noise = float(spec.get("noise", profile.noise))
-        if noise != profile.noise:
-            profile = DeviceProfile(**{**profile.__dict__, "noise": noise})
-        seed = int(spec.get("seed", 0))
+        profile = BUILTIN_PROFILES[spec.get("profile", "movidius-ncs")]
+        seed, noise = spec.get("seed", 0), float(spec.get("noise", 0.0))
 
         def evaluate(genome: CellGenome) -> ObjectiveVector:
-            return synthetic_evaluate(genome, macro, profile, seed=seed)
+            return synthetic_evaluate(genome, macro, profile, seed=seed, noise=noise)
 
         return evaluate, profile.name
 
-    if kind == "external":
-        if "command" not in spec or "workdir" not in spec:
-            raise ValueError("external evaluator spec requires 'command' and 'workdir'")
-        device = str(spec.get("device", "external"))
-        training = dict(spec.get("training", {}))
-        timeout_s = float(spec.get("timeout_s", 3600.0))
+    if "command" not in spec or "workdir" not in spec:
+        raise ValueError("evaluator of type 'external' requires 'command' and 'workdir'")
+    command, workdir, timeout_s = spec["command"], spec["workdir"], float(spec.get("timeout_s", 3600.0))
+    training = {**_TRAINING_DEFAULTS, **spec.get("training", {})}
+    device = spec.get("device", "external")
+    # Everything in request.json but the genome, in the order the file is written.
+    fixed = dict(N=macro.N, F=macro.F, num_classes=macro.num_classes, training=training, device=device)
 
-        def evaluate(genome: CellGenome) -> ObjectiveVector:
-            request = EvaluationRequest(
-                genome=genome.to_json_dict(),
-                N=macro.N,
-                F=macro.F,
-                num_classes=macro.num_classes,
-                device=device,
-                training=training,
-            )
-            return external_evaluate(request, spec["command"], spec["workdir"], timeout_s)
+    def evaluate(genome: CellGenome) -> ObjectiveVector:
+        request = {"genome": genome.to_json_dict(), **fixed}
+        return external_evaluate(request, command, workdir, timeout_s)
 
-        return evaluate, device
-
-    raise ValueError(f"unknown evaluator type {kind!r}")
+    return evaluate, device

@@ -61,10 +61,12 @@ class MacroConfig:
             value = getattr(self, name)
             if type(value) is not int:
                 raise BuildError(f"{name} must be an int, got {value!r}")
+        # A JSON config gives input_shape as a list, checked before TensorShape compares it.
         shape = self.input_shape
-        dims = [shape.height, shape.width, shape.channels]
-        if any(type(v) is not int for v in dims):
+        dims = [shape.height, shape.width, shape.channels] if isinstance(shape, TensorShape) else shape
+        if not (isinstance(dims, list) and len(dims) == 3 and all(type(v) is int for v in dims)):
             raise BuildError(f"input_shape must hold three ints, got {dims!r}")
+        object.__setattr__(self, "input_shape", TensorShape(*dims))
         if self.N < 1 or self.F < 1:
             raise BuildError("N and F must be >= 1")
         if self.num_reduction_cells < 0:
@@ -93,10 +95,12 @@ class MacroConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MacroConfig":
-        kwargs = dict(d)
-        if "input_shape" in kwargs:
-            kwargs["input_shape"] = TensorShape(*kwargs["input_shape"])
-        return cls(**kwargs)
+        if not isinstance(d, dict):
+            raise BuildError(f"macro must be a JSON object (dict), got {d!r}")
+        unknown = set(d) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise BuildError(f"unknown macro fields: {sorted(unknown)}")
+        return cls(**d)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import gp
-from .evaluation import ResponseError
+from .evaluation import ResponseError, build_evaluator
 from .network import MacroConfig
 from .pareto import hypervolume_improvements, pareto_filter
 from .records import (
@@ -95,8 +95,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not isinstance(self.evaluator, dict):
-            raise ValueError(f"evaluator must be a JSON object (dict), got {self.evaluator!r}")
+        build_evaluator(self.evaluator, self.macro)  # refuses a bad spec
         if self.log_path is not None and not (isinstance(self.log_path, str) and self.log_path):
             raise ValueError(f"log_path must be a non-empty string or null, got {self.log_path!r}")
         if not self.budget >= self.n_init >= 1:
@@ -120,11 +119,8 @@ class RunConfig:
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunConfig":
         kwargs = dict(d)
-        macro = kwargs.get("macro")
-        if isinstance(macro, dict):
-            kwargs["macro"] = MacroConfig.from_json_dict(macro)
-        elif "macro" in kwargs and not isinstance(macro, MacroConfig):
-            raise ValueError(f"macro must be a JSON object (dict), got {macro!r}")
+        if "macro" in kwargs and not isinstance(kwargs["macro"], MacroConfig):
+            kwargs["macro"] = MacroConfig.from_json_dict(kwargs["macro"])
         if "objective_subset" in kwargs and kwargs["objective_subset"] is not None:
             kwargs["objective_subset"] = tuple(kwargs["objective_subset"])
         unknown = set(kwargs) - {f for f in cls.__dataclass_fields__}
@@ -269,10 +265,6 @@ def propose_next(
     return decode(candidates[int(np.argmax(scores))], state.num_blocks)
 
 
-def _device_name(evaluator_spec: dict) -> str:
-    return str(evaluator_spec.get("profile") or evaluator_spec.get("device") or "unknown")
-
-
 def _config_fingerprint(config: RunConfig, source: str) -> dict:
     return {
         "seed": config.seed,
@@ -369,7 +361,7 @@ def _run(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     subset = config.objective_subset
-    device = _device_name(config.evaluator)
+    _, device = build_evaluator(config.evaluator, config.macro)
 
     # The log is read under the lock, so no other run can be appending to it.
     with _LogLock(config.log_path):

@@ -7,7 +7,7 @@ import pytest
 from hwnas.cli import main
 from hwnas.records import load_records
 
-from test_evaluation import constant_trace, triangular_trace
+from test_evaluation import BAD_EVALUATOR_SPECS, constant_trace, triangular_trace
 
 
 def write_config(tmp_path, **overrides):
@@ -94,10 +94,20 @@ class TestSearchCommand:
             ({"num_classes": True}, "num_classes must be an int"),
             ({"input_shape": [32.7, 32, 3]}, "input_shape must hold three ints"),
             ([2, 24], "macro must be a JSON object"),
+            ({"n": 2}, "unknown macro fields: ['n']"),
+            ({"input_shape": ["32", 32, 3]}, "input_shape must hold three ints"),
+            ({"input_shape": [32, 32]}, "input_shape must hold three ints"),
         ],
     )
     def test_bad_macro_refused_before_the_run(self, tmp_path, capsys, macro, message):
         cfg_path, _ = write_config(tmp_path, macro=macro)
+        assert main(["search", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("spec, message", BAD_EVALUATOR_SPECS)
+    def test_bad_evaluator_spec_refused_before_the_run(self, tmp_path, capsys, spec, message):
+        cfg_path, _ = write_config(tmp_path, evaluator=spec)
         assert main(["search", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
@@ -245,6 +255,12 @@ class TestReevalCommand:
         # classification error does not depend on the device
         for m in report["models"]:
             assert m["target_objectives"]["error"] == pytest.approx(m["source_objectives"]["error"])
+
+    def test_target_that_is_not_an_object_is_named(self, tmp_path, capsys):
+        cfg_path, cfg = write_config(tmp_path, budget=4)
+        main(["search", "--config", str(cfg_path)])
+        assert main(["reeval", "--log", cfg["log_path"], "--target", '"x"']) == 1
+        assert capsys.readouterr().err.startswith("error: evaluator must be a JSON object (dict), got 'x'")
 
 
 class TestEnumerateCommand:

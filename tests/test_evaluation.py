@@ -17,8 +17,6 @@ from numpy.lib import _datasource
 from hwnas.evaluation import (
     _COMPRESSED_SUFFIXES,
     BUILTIN_PROFILES,
-    DeviceProfile,
-    EvaluationRequest,
     EvaluatorError,
     PowerTrace,
     ResponseError,
@@ -396,11 +394,11 @@ class TestSyntheticEvaluate:
     def test_noise_seeded_and_bounded(self):
         g = random_genome(np.random.default_rng(4))
         macro = MacroConfig()
-        noisy = DeviceProfile(**{**get_profile("movidius-ncs").__dict__, "noise": 0.05})
-        a = synthetic_evaluate(g, macro, noisy, seed=7)
-        b = synthetic_evaluate(g, macro, noisy, seed=7)
-        c = synthetic_evaluate(g, macro, noisy, seed=8)
-        clean = synthetic_evaluate(g, macro, get_profile("movidius-ncs"), seed=7)
+        prof = get_profile("movidius-ncs")
+        a = synthetic_evaluate(g, macro, prof, seed=7, noise=0.05)
+        b = synthetic_evaluate(g, macro, prof, seed=7, noise=0.05)
+        c = synthetic_evaluate(g, macro, prof, seed=8, noise=0.05)
+        clean = synthetic_evaluate(g, macro, prof, seed=7)
         assert a == b
         assert abs(a.error - clean.error) <= 0.05
         assert 0.0 <= a.error <= 1.0
@@ -458,7 +456,7 @@ def write_adapter(tmp_path, body, name="adapter.py"):
 
 def sample_request():
     g = all_identity_genome()
-    return EvaluationRequest(genome=g.to_json_dict(), N=2, F=24, num_classes=10, device="rig-1")
+    return {"genome": g.to_json_dict(), "N": 2, "F": 24, "num_classes": 10, "training": {}, "device": "rig-1"}
 
 
 class TestExternalEvaluate:
@@ -469,7 +467,9 @@ class TestExternalEvaluate:
 
     def test_training_defaults_in_request(self, tmp_path):
         cmd = write_adapter(tmp_path, ADAPTER_PASSTHROUGH)
-        external_evaluate(sample_request(), cmd, tmp_path, timeout_s=30)
+        spec = {"type": "external", "command": cmd, "workdir": str(tmp_path), "timeout_s": 30}
+        evaluate, _ = build_evaluator(spec, MacroConfig())
+        evaluate(all_identity_genome())
         req = json.loads((tmp_path / "request.json").read_text())
         assert req["training"] == {
             "epochs": 10,
@@ -537,6 +537,37 @@ class TestExternalEvaluate:
             external_evaluate(sample_request(), cmd, tmp_path, timeout_s=0.5)
 
 
+# Evaluator specs that must be refused where they are loaded, each with the start of its message.
+BAD_EVALUATOR_SPECS = [
+    ("synthetic", "evaluator must be a JSON object"),
+    (["synthetic"], "evaluator must be a JSON object"),
+    ({"type": "quantum"}, "evaluator type must be one of ['external', 'synthetic']"),
+    ({"type": ["synthetic"]}, "evaluator type must be one of"),
+    ({"type": "synthetic", "profle": "titanx"}, "evaluator fields not read by type 'synthetic': ['profle']"),
+    ({"type": "synthetic", "command": "true"}, "evaluator fields not read by type 'synthetic'"),
+    ({"type": "synthetic", "profile": "tpu"}, "evaluator profile must be one of"),
+    ({"type": "synthetic", "seed": 1.7}, "evaluator seed must be an int >= 0, got 1.7"),
+    ({"type": "synthetic", "seed": "3"}, "evaluator seed must be an int >= 0"),
+    ({"type": "synthetic", "seed": True}, "evaluator seed must be an int >= 0"),
+    ({"type": "synthetic", "seed": -1}, "evaluator seed must be an int >= 0"),
+    ({"type": "synthetic", "noise": -0.05}, "evaluator noise must be a finite number >= 0"),
+    ({"type": "synthetic", "noise": "0.05"}, "evaluator noise must be a finite number >= 0"),
+    ({"type": "synthetic", "noise": float("nan")}, "evaluator noise must be a finite number >= 0"),
+    ({"type": "external", "command": "true"}, "evaluator of type 'external' requires 'command' and 'workdir'"),
+    ({"type": "external", "command": "true", "workdir": "w", "seed": 0}, "evaluator fields not read by type 'external'"),
+    ({"type": "external", "command": "", "workdir": "w"}, "evaluator command must be"),
+    ({"type": "external", "command": [], "workdir": "w"}, "evaluator command must be"),
+    ({"type": "external", "command": ["sh", 1], "workdir": "w"}, "evaluator command must be"),
+    ({"type": "external", "command": "true", "workdir": ""}, "evaluator workdir must be a non-empty string"),
+    ({"type": "external", "command": "true", "workdir": "w", "timeout_s": 0}, "evaluator timeout_s must be a finite number > 0"),
+    ({"type": "external", "command": "true", "workdir": "w", "timeout_s": -5}, "evaluator timeout_s must be"),
+    ({"type": "external", "command": "true", "workdir": "w", "timeout_s": float("inf")}, "evaluator timeout_s must be"),
+    ({"type": "external", "command": "true", "workdir": "w", "device": 5}, "evaluator device must be a non-empty string"),
+    ({"type": "external", "command": "true", "workdir": "w", "device": ""}, "evaluator device must be"),
+    ({"type": "external", "command": "true", "workdir": "w", "training": [1]}, "evaluator training must be a JSON object"),
+]
+
+
 class TestBuildEvaluator:
     def test_synthetic_spec(self):
         ev, device = build_evaluator({"type": "synthetic", "profile": "titanx"}, MacroConfig())
@@ -551,3 +582,28 @@ class TestBuildEvaluator:
     def test_unknown_type(self):
         with pytest.raises(ValueError):
             build_evaluator({"type": "quantum"}, MacroConfig())
+
+    def test_external_request_and_device(self, tmp_path):
+        cmd = write_adapter(tmp_path, ADAPTER_PASSTHROUGH)
+        spec = {"type": "external", "command": cmd, "workdir": str(tmp_path), "training": {"epochs": 3}}
+        evaluate, device = build_evaluator(spec, MacroConfig(N=1, F=8, num_classes=5))
+        g = all_identity_genome()
+        evaluate(g)
+        req = json.loads((tmp_path / "request.json").read_text())
+        assert list(req) == ["genome", "N", "F", "num_classes", "training", "device"]
+        assert (req["genome"], req["N"], req["F"], req["num_classes"]) == (g.to_json_dict(), 1, 8, 5)
+        assert (req["training"]["epochs"], req["training"]["batch_size"]) == (3, 32)
+        assert device == req["device"] == "external"
+
+    def test_synthetic_defaults(self):
+        ev, device = build_evaluator({"type": "synthetic"}, MacroConfig())
+        g = random_genome(np.random.default_rng(4))
+        assert device == "movidius-ncs"
+        assert ev(g) == synthetic_evaluate(g, MacroConfig(), get_profile("movidius-ncs"))
+        noisy, _ = build_evaluator({"noise": 0.05, "seed": 7}, MacroConfig())
+        assert noisy(g) == synthetic_evaluate(g, MacroConfig(), get_profile("movidius-ncs"), seed=7, noise=0.05)
+
+    @pytest.mark.parametrize("spec, message", BAD_EVALUATOR_SPECS)
+    def test_bad_spec_names_the_field(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            build_evaluator(spec, MacroConfig())

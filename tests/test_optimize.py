@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import socket
 from dataclasses import replace
 from pathlib import Path
@@ -36,6 +37,8 @@ from hwnas.records import (
     transform_values,
 )
 from hwnas.search_space import decode, encode, enumerate_genomes, random_genome
+
+from test_evaluation import BAD_EVALUATOR_SPECS
 
 SYNTH = {"type": "synthetic", "profile": "movidius-ncs"}
 
@@ -275,6 +278,13 @@ class TestRunSearch:
         assert len(lines) == 6
         assert [json.loads(l)["iteration"] for l in lines] == list(range(6))
 
+    def test_logged_device_is_the_evaluator_device(self, tmp_path):
+        cfg = small_config(tmp_path, budget=2, n_init=2, evaluator={"type": "synthetic"})
+        ev, device = build_evaluator(cfg.evaluator, cfg.macro)
+        run_search(cfg, ev)
+        assert device == "movidius-ncs"
+        assert {e["device"] for e in read_log(cfg.log_path)} == {"movidius-ncs"}
+
     def test_reproducible_byte_identical(self, tmp_path):
         cfg_a = small_config(tmp_path, log_path=str(tmp_path / "a.jsonl"))
         cfg_b = small_config(tmp_path, log_path=str(tmp_path / "b.jsonl"))
@@ -506,6 +516,20 @@ pathlib.Path("response.json").write_text(json.dumps(response))
         assert launches.count(first) == attempts
         assert len(launches) == attempts + 2
 
+    def test_external_device_default_logged_as_requested(self, tmp_path):
+        from test_evaluation import ADAPTER_PASSTHROUGH, write_adapter
+
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        command = write_adapter(workdir, ADAPTER_PASSTHROUGH)
+        spec = {"type": "external", "command": command, "workdir": str(workdir), "timeout_s": 30}
+        cfg = small_config(tmp_path, budget=2, n_init=2, evaluator=spec)
+        ev, _ = build_evaluator(spec, cfg.macro)
+        run_search(cfg, ev)
+        request = json.loads((workdir / "request.json").read_text())
+        assert request["device"] == "external"
+        assert {e["device"] for e in read_log(cfg.log_path)} == {"external"}
+
 
 class TestRunRandom:
     def test_identical_logs_same_seed(self, tmp_path):
@@ -664,11 +688,19 @@ class TestRunConfig:
             ([2, 24], "macro must be a JSON object"),
             ("default", "macro must be a JSON object"),
             (None, "macro must be a JSON object"),
+            ({"n": 2}, "unknown macro fields"),
+            ({"input_shape": ["32", 32, 3]}, "input_shape must hold three ints"),
+            ({"input_shape": [32, 32]}, "input_shape must hold three ints"),
         ],
     )
     def test_bad_macro_rejected_at_load(self, macro, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             RunConfig.from_json_dict({"seed": 3, "budget": 20, "n_init": 4, "macro": macro})
+
+    @pytest.mark.parametrize("spec, message", BAD_EVALUATOR_SPECS)
+    def test_bad_evaluator_spec_rejected_at_load(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            RunConfig.from_json_dict({"seed": 3, "budget": 20, "n_init": 4, "evaluator": spec})
 
     def test_json_round_trip(self):
         cfg = RunConfig(seed=3, budget=20, n_init=4, objective_subset=("time", "error"))
