@@ -11,8 +11,8 @@ from pathlib import Path
 from .evaluation import DeviceProfile, PowerTrace, build_evaluator, get_profile, measure_from_trace
 from .network import MacroConfig
 from .optimize import RunConfig, reevaluate_cross_device, run_random, run_search
-from .pareto import pareto_filter
-from .records import SOURCE_RANDOM, EvaluationRecord, load_records, logical_timestamp, normalize_subset
+from .pareto import non_dominated_mask, pareto_filter
+from .records import load_records, normalize_subset
 from .search_space import encode, enumerate_genomes
 
 
@@ -123,10 +123,17 @@ def cmd_trace(args) -> int:
 
 
 def _evaluator_spec(value: str) -> dict:
-    path = Path(value)
-    if path.exists():
-        return json.loads(path.read_text(encoding="utf-8"))
-    return json.loads(value)
+    """The spec ``value`` holds as JSON text, or else the one in the file it names.
+
+    A value that starts like a JSON object is never taken as a file name, so
+    its parse error is the one reported.
+    """
+    try:
+        return json.loads(value)
+    except json.JSONDecodeError:
+        if value.lstrip().startswith("{"):
+            raise
+        return json.loads(Path(value).read_text(encoding="utf-8"))
 
 
 def cmd_reeval(args) -> int:
@@ -143,31 +150,14 @@ def cmd_reeval(args) -> int:
 
 def cmd_enumerate(args) -> int:
     macro = MacroConfig.from_json_dict(json.loads(args.macro)) if args.macro else MacroConfig()
-    spec = {"type": "synthetic", "profile": args.profile}
-    evaluator, device = build_evaluator(spec, macro)
-    rows = []
-    records = []
-    for i, genome in enumerate(enumerate_genomes(args.blocks)):
-        objectives = evaluator(genome)
-        records.append(
-            EvaluationRecord(
-                genome=genome,
-                objectives=objectives,
-                device=device,
-                iteration=i,
-                source=SOURCE_RANDOM,
-                timestamp=logical_timestamp(i),
-            )
-        )
-    front_ids = {id(r) for r in pareto_filter(records, None)}
-    for r in records:
-        rows.append(
-            {
-                "encoding": list(encode(r.genome)),
-                "objectives": r.objectives.to_json_dict(),
-                "is_pareto": id(r) in front_ids,
-            }
-        )
+    evaluator, _ = build_evaluator({"type": "synthetic", "profile": args.profile}, macro)
+    genomes = list(enumerate_genomes(args.blocks))
+    measured = [evaluator(g) for g in genomes]
+    on_front = non_dominated_mask([o.values() for o in measured])
+    rows = [
+        {"encoding": list(encode(g)), "objectives": o.to_json_dict(), "is_pareto": p}
+        for g, o, p in zip(genomes, measured, on_front.tolist())
+    ]
     _emit({"num_blocks": args.blocks, "profile": args.profile, "rows": rows}, args.out)
     return 0
 

@@ -70,11 +70,6 @@ def featurize_codes(codes: np.ndarray) -> np.ndarray:
     return out
 
 
-def featurize(genome: CellGenome) -> np.ndarray:
-    """One-hot expansion of the encoded genome (see :func:`featurize_codes`)."""
-    return featurize_codes(np.array([encode(genome)]))[0]
-
-
 def featurize_batch(genomes: list[CellGenome]) -> np.ndarray:
     if not genomes:
         raise ValueError("no genomes to featurize")
@@ -95,16 +90,6 @@ class KernelParams:
             raise ValueError("lengthscale and signal_variance must be positive")
         if self.noise_variance < 0:
             raise ValueError("noise_variance must be non-negative")
-
-
-def kernel(a: np.ndarray, b: np.ndarray, params: KernelParams) -> float:
-    """Squared-exponential covariance: sv * exp(-||a-b||^2 / (2 l^2))."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    sq = float(np.sum((a - b) ** 2))
-    return params.signal_variance * float(np.exp(-sq / (2.0 * params.lengthscale**2)))
 
 
 def kernel_matrix(A: np.ndarray, B: np.ndarray, params: KernelParams) -> np.ndarray:
@@ -287,10 +272,6 @@ class GPModel:
         """Posterior mean and variance at the feature rows ``F`` (see :meth:`predict_table`)."""
         F = np.atleast_2d(np.asarray(F, dtype=float))
         return self.predict_table(_table(cdist(F, self.X, metric="sqeuclidean")))
-
-    def predict(self, genome: CellGenome) -> tuple[float, float]:
-        mean, var = self.predict_features(featurize(genome)[None, :])
-        return float(mean[0]), float(var[0])
 
 
 class _OutOfEvaluations(Exception):

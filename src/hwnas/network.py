@@ -123,25 +123,6 @@ class NetworkGraph:
     total_flops: int
     output_id: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "nodes": [
-                {
-                    "id": n.id,
-                    "kind": n.kind,
-                    "op": n.op.name.lower() if n.op is not None else None,
-                    "inputs": list(n.inputs),
-                    "shape": [n.out_shape.height, n.out_shape.width, n.out_shape.channels],
-                    "params": n.params,
-                    "flops": n.flops,
-                }
-                for n in self.nodes
-            ],
-            "total_params": self.total_params,
-            "total_flops": self.total_flops,
-            "output_id": self.output_id,
-        }
-
 
 def count_params(kind: str, in_channels: int, out_channels: int, kernel: int = 1) -> int:
     """Weight count per node kind; biases and normalization are excluded.

@@ -102,7 +102,12 @@ class RunConfig:
             raise ValueError(f"need budget >= n_init >= 1, got {self.budget} / {self.n_init}")
         if self.num_blocks < 1:
             raise ValueError("num_blocks must be >= 1")
-        object.__setattr__(self, "objective_subset", normalize_subset(self.objective_subset))
+        subset = self.objective_subset
+        if subset is not None and not (
+            isinstance(subset, (list, tuple)) and all(isinstance(name, str) for name in subset)
+        ):
+            raise ValueError(f"objective_subset must be a list of objective names, got {subset!r}")
+        object.__setattr__(self, "objective_subset", normalize_subset(subset))
 
     def to_json_dict(self) -> dict:
         return {
@@ -118,11 +123,11 @@ class RunConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object (dict), got {d!r}")
         kwargs = dict(d)
         if "macro" in kwargs and not isinstance(kwargs["macro"], MacroConfig):
             kwargs["macro"] = MacroConfig.from_json_dict(kwargs["macro"])
-        if "objective_subset" in kwargs and kwargs["objective_subset"] is not None:
-            kwargs["objective_subset"] = tuple(kwargs["objective_subset"])
         unknown = set(kwargs) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -134,13 +139,13 @@ class SearchState:
     """Mutable loop state shared with the proposal step.
 
     ``history`` only grows; :meth:`history_codes` keeps its encodings as an
-    int matrix, encoding each record once.
+    int matrix, encoding each record once.  Warm-up is decided by the caller,
+    which passes no models to :func:`propose_next` until it fits them.
     """
 
     history: list[EvaluationRecord]
     objective_subset: tuple[str, ...]
     num_blocks: int
-    n_init: int
     excluded: set[tuple[int, ...]] = field(default_factory=set)
     _codes: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -233,17 +238,16 @@ def propose_next(
 ) -> CellGenome:
     """Next genome to evaluate.
 
-    Warm-up (fewer than ``n_init`` records, or no models) proposes a random
-    unevaluated genome.  Otherwise the candidate pool is 500 random genomes
-    plus 10 single-field mutations of each current Pareto genome, minus
-    everything already evaluated; the acquisition argmax wins, ties broken by
-    lowest encoding.
+    Warm-up (no models) proposes a random unevaluated genome.  Otherwise
+    the candidate pool is 500 random genomes plus 10 single-field mutations
+    of each current Pareto genome, minus everything already evaluated; the
+    acquisition argmax wins, ties broken by lowest encoding.
 
     ``models`` (one per objective of ``state.objective_subset``) must be fit
     on ``state.history``, in order, as the search loop fits them: the pool is
     scored against the history's codes.
     """
-    if models is None or len(state.history) < state.n_init:
+    if models is None:
         return _random_unevaluated(rng, state.excluded, state.num_blocks)
 
     subset = state.objective_subset
@@ -382,7 +386,6 @@ def _run(
             history=history,
             objective_subset=subset,
             num_blocks=config.num_blocks,
-            n_init=config.n_init,
             excluded=excluded,
         )
 

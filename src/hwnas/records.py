@@ -141,16 +141,12 @@ def logical_timestamp(iteration: int) -> str:
     return datetime.fromtimestamp(iteration, tz=timezone.utc).isoformat()
 
 
-def dump_log_line(d: dict) -> str:
-    return json.dumps(d, separators=(",", ":"))
-
-
 def append_log_line(path: str | Path, d: dict) -> None:
     """Append one JSON line and flush to disk immediately (crash-safe log)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(dump_log_line(d) + "\n")
+        fh.write(json.dumps(d, separators=(",", ":")) + "\n")
         fh.flush()
         os.fsync(fh.fileno())
 

@@ -16,6 +16,7 @@ form used at the JSON, CLI and evaluator boundary, converted with
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -114,15 +115,10 @@ class CellGenome:
             rows = d["blocks"]
         except (TypeError, KeyError) as exc:
             raise GenomeError(f"genome JSON must be an object with a 'blocks' key: {d!r}") from exc
-        blocks = []
         for row in rows:
             if len(row) != FIELDS_PER_BLOCK:
                 raise GenomeError(f"genome block row must have 4 entries, got {row!r}")
-            i1, i2, o1, o2 = (int(v) for v in row)
-            blocks.append(BlockSpec(i1, i2, _operation(o1), _operation(o2)))
-        g = cls(tuple(blocks))
-        _require_valid(g)
-        return g
+        return decode([v for row in rows for v in row], len(rows))
 
 
 def _operation(code: int) -> Operation:
@@ -213,13 +209,8 @@ def decode(vector: Iterable[int], num_blocks: int | None = None) -> CellGenome:
 
 
 def search_space_size(num_blocks: int) -> int:
-    """Exact number of distinct genomes: prod_b (2+b)^2 * 8^2 (arbitrary precision)."""
-    if num_blocks < 1:
-        raise ValueError("num_blocks must be >= 1")
-    size = 1
-    for b in range(num_blocks):
-        size *= input_bound(b) ** 2 * NUM_OPERATIONS**2
-    return size
+    """Exact number of distinct genomes: the product of :func:`radices` (arbitrary precision)."""
+    return math.prod(radices(num_blocks).tolist())
 
 
 def enumerate_genomes(num_blocks: int, cap: int = ENUMERATION_CAP) -> Iterator[CellGenome]:
@@ -231,16 +222,8 @@ def enumerate_genomes(num_blocks: int, cap: int = ENUMERATION_CAP) -> Iterator[C
     size = search_space_size(num_blocks)
     if size > cap:
         raise ValueError(f"search space size {size} exceeds enumeration cap {cap}")
-    ranges = []
-    for b in range(num_blocks):
-        bound = input_bound(b)
-        ranges.extend((range(bound), range(bound), range(NUM_OPERATIONS), range(NUM_OPERATIONS)))
-
-    def _gen() -> Iterator[CellGenome]:
-        for vec in itertools.product(*ranges):
-            yield decode(vec, num_blocks)
-
-    return _gen()
+    fields = itertools.product(*(range(r) for r in radices(num_blocks).tolist()))
+    return (decode(vec, num_blocks) for vec in fields)
 
 
 def unused_block_outputs(genome: CellGenome) -> set[int]:

@@ -5,7 +5,11 @@ from pathlib import Path
 import pytest
 
 from hwnas.cli import main
-from hwnas.records import load_records
+from hwnas.evaluation import build_evaluator
+from hwnas.network import MacroConfig
+from hwnas.pareto import pareto_filter
+from hwnas.records import SOURCE_RANDOM, EvaluationRecord, load_records, logical_timestamp
+from hwnas.search_space import encode, enumerate_genomes
 
 from test_evaluation import BAD_EVALUATOR_SPECS, constant_trace, triangular_trace
 
@@ -79,11 +83,28 @@ class TestSearchCommand:
         assert main(["search", "--config", str(cfg_path)]) == 1
         assert "log" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field, bad", [("evaluator", "synthetic"), ("log_path", 5)])
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("evaluator", "synthetic"),
+            ("log_path", 5),
+            ("objective_subset", "energy"),
+            ("objective_subset", ["error", 1]),
+        ],
+    )
     def test_bad_field_named_before_the_run(self, tmp_path, capsys, field, bad):
         cfg_path, _ = write_config(tmp_path, **{field: bad})
         assert main(["search", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("raw", [[["seed", 2]], "abc", None])
+    def test_config_that_is_not_an_object_refused_before_the_run(self, tmp_path, capsys, raw):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        log_path = tmp_path / "run.jsonl"
+        assert main(["search", "--config", str(cfg_path), "--log", str(log_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: config must be a JSON object (dict), got ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize(
@@ -132,8 +153,6 @@ class TestParetoCommand:
         assert 1 <= len(front["front"]) <= 8
 
     def test_matches_in_process_filter(self, tmp_path):
-        from hwnas.pareto import pareto_filter
-
         cfg_path, cfg = write_config(tmp_path, budget=10)
         main(["search", "--config", str(cfg_path)])
         out_path = tmp_path / "front.json"
@@ -256,6 +275,27 @@ class TestReevalCommand:
         for m in report["models"]:
             assert m["target_objectives"]["error"] == pytest.approx(m["source_objectives"]["error"])
 
+    @pytest.mark.parametrize("form", ["long_json", "file"])
+    def test_target_as_long_json_or_file(self, tmp_path, form):
+        cfg_path, cfg = write_config(tmp_path, budget=4)
+        main(["search", "--config", str(cfg_path)])
+        # Longer than a file name may be (255 bytes), with no "/" to split it.
+        target = '{"type": "synthetic",' + " " * 300 + '"profile": "titanx"}'
+        if form == "file":
+            (tmp_path / "target.json").write_text(target)
+            target = str(tmp_path / "target.json")
+        out = tmp_path / "report.json"
+        assert main(["reeval", "--log", cfg["log_path"], "--target", target, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["target_device"] == "titanx"
+
+    def test_malformed_long_target_reports_the_json_error(self, tmp_path, capsys):
+        cfg_path, cfg = write_config(tmp_path, budget=4)
+        main(["search", "--config", str(cfg_path)])
+        capsys.readouterr()
+        target = '{"type": "synthetic",' + " " * 300
+        assert main(["reeval", "--log", cfg["log_path"], "--target", target]) == 1
+        assert capsys.readouterr().err.startswith("error: Expecting property name")
+
     def test_target_that_is_not_an_object_is_named(self, tmp_path, capsys):
         cfg_path, cfg = write_config(tmp_path, budget=4)
         main(["search", "--config", str(cfg_path)])
@@ -271,6 +311,20 @@ class TestEnumerateCommand:
         assert len(table["rows"]) == 256
         front_rows = [r for r in table["rows"] if r["is_pareto"]]
         assert 0 < len(front_rows) < 256
+
+    def test_front_is_what_pareto_filter_keeps(self, tmp_path):
+        out = tmp_path / "table.json"
+        assert main(["enumerate", "--blocks", "1", "--profile", "movidius-ncs", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [tuple(r["encoding"]) for r in rows] == [encode(g) for g in enumerate_genomes(1)]
+        evaluator, device = build_evaluator({"type": "synthetic", "profile": "movidius-ncs"}, MacroConfig())
+        records = [
+            EvaluationRecord(g, evaluator(g), device, i, SOURCE_RANDOM, logical_timestamp(i))
+            for i, g in enumerate(enumerate_genomes(1))
+        ]
+        assert [r["objectives"] for r in rows] == [r.objectives.to_json_dict() for r in records]
+        front = {encode(r.genome) for r in pareto_filter(records)}
+        assert {tuple(r["encoding"]) for r in rows if r["is_pareto"]} == front
 
     def test_five_blocks_refused(self, tmp_path, capsys):
         assert main(["enumerate", "--blocks", "5", "--profile", "movidius-ncs"]) == 1

@@ -23,12 +23,10 @@ from hwnas.gp import (
     cholesky,
     distance_table,
     feature_dim,
-    featurize,
     featurize_batch,
     featurize_codes,
     fit,
     hamming_table,
-    kernel,
     kernel_matrix,
     log_marginal_likelihood,
 )
@@ -72,56 +70,55 @@ def scipy_reference(params, X, y):
 class TestFeaturize:
     def test_dimension_is_120_for_five_blocks(self):
         assert feature_dim(5) == 120
-        assert featurize(all_identity_genome()).shape == (120,)
+        assert featurize_batch([all_identity_genome()])[0].shape == (120,)
 
     def test_exactly_twenty_ones(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            f = featurize(random_genome(rng))
+            f = featurize_batch([random_genome(rng)])[0]
             assert set(np.unique(f)) <= {0.0, 1.0}
             assert f.sum() == 20
 
     def test_identical_genomes_identical_features(self):
         g = random_genome(np.random.default_rng(1))
-        assert np.array_equal(featurize(g), featurize(decode(encode(g))))
+        assert np.array_equal(featurize_batch([g])[0], featurize_batch([decode(encode(g))])[0])
 
     def test_one_op_swap_squared_distance_two(self):
         g = all_identity_genome()
         vec = list(encode(g))
         vec[2] = int(Operation.CONV7X7)
         g2 = decode(vec)
-        d2 = np.sum((featurize(g) - featurize(g2)) ** 2)
+        d2 = np.sum((featurize_batch([g])[0] - featurize_batch([g2])[0]) ** 2)
         assert d2 == 2.0
 
     def test_injective_on_one_block_space(self):
         from hwnas.search_space import enumerate_genomes
 
-        feats = {tuple(featurize(g)) for g in enumerate_genomes(1)}
+        feats = {tuple(f) for f in featurize_batch(list(enumerate_genomes(1)))}
         assert len(feats) == 256
 
 
 class TestKernel:
     def test_self_covariance_is_signal(self):
-        a = featurize(all_identity_genome())
+        a = featurize_batch([all_identity_genome()])
         p = KernelParams(1.0, 1.0, 0.0)
-        assert kernel(a, a, p) == pytest.approx(1.0)
+        assert kernel_matrix(a, a, p)[0, 0] == pytest.approx(1.0)
 
     def test_distance_two_unit_lengthscale(self):
         p = KernelParams(1.0, 1.0, 0.0)
         a = np.zeros(4)
         b = np.array([1.0, 1.0, 0.0, 0.0])
-        assert kernel(a, b, p) == pytest.approx(np.exp(-1.0), abs=1e-12)
+        assert kernel_matrix(a, b, p)[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         p = KernelParams(2.0, 1.5, 0.0)
-        for _ in range(20):
-            a, b = rng.normal(size=(2, 7))
-            assert kernel(a, b, p) == pytest.approx(kernel(b, a, p))
+        A, B = rng.normal(size=(2, 20, 7))
+        assert np.allclose(kernel_matrix(A, B, p), kernel_matrix(B, A, p).T, rtol=1e-12, atol=0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            kernel(np.zeros(3), np.zeros(4), KernelParams(1, 1, 0))
+            kernel_matrix(np.zeros(3), np.zeros(4), KernelParams(1, 1, 0))
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -246,15 +243,6 @@ class TestPosterior:
         _, var = m.predict_features(rng.normal(size=(200, 6)))
         assert np.all(var >= 0)
         assert np.all(var <= 2.0 * m.target_std**2 + 1e-9)
-
-    def test_predict_genome_api(self):
-        rng = np.random.default_rng(6)
-        genomes = [random_genome(rng) for _ in range(5)]
-        X = featurize_batch(genomes)
-        m = GPModel(X, np.arange(5.0), KernelParams(3.0, 1.0, 1e-6))
-        mean, var = m.predict(genomes[2])
-        assert mean == pytest.approx(2.0, abs=1e-2)
-        assert var >= 0
 
 
 class TestFit:

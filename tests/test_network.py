@@ -183,14 +183,6 @@ class TestBuildNetwork:
         with pytest.raises(Exception):
             build_network(g, MacroConfig())
 
-    def test_export_json_shape(self):
-        g = all_identity_genome()
-        net = build_network(g, MacroConfig(N=1, F=4))
-        d = net.to_json_dict()
-        assert set(d) == {"nodes", "total_params", "total_flops", "output_id"}
-        assert set(d["nodes"][0]) == {"id", "kind", "op", "inputs", "shape", "params", "flops"}
-        assert d["nodes"][-1]["kind"] == KIND_CLASSIFIER
-
     def test_global_pool_flattens(self):
         g = all_identity_genome()
         net = build_network(g, MacroConfig(N=1, F=4))

@@ -205,9 +205,7 @@ class TestAcquisition:
         cand = random_genome(np.random.default_rng(7), 1)
         score = ehvi_of(models, records, [], cand, ref=ref)
         # Monte-Carlo oracle: expected volume of [sample, ref].
-        from hwnas.gp import featurize
-
-        feats = featurize(cand)[None, :]
+        feats = featurize_batch([cand])
         rng = np.random.default_rng(123)
         total = 0.0
         n = 200_000
@@ -223,7 +221,7 @@ class TestAcquisition:
 class TestProposeNext:
     def test_warmup_is_random_valid(self):
         state = SearchState(history=[], objective_subset=normalize_subset(None),
-                            num_blocks=5, n_init=3)
+                            num_blocks=5)
         g = propose_next(state, None, np.random.default_rng(0))
         assert g.num_blocks == 5
 
@@ -239,7 +237,6 @@ class TestProposeNext:
             history=records,
             objective_subset=normalize_subset(None),
             num_blocks=1,
-            n_init=3,
             excluded={encode(r.genome) for r in records},
         )
         X = featurize_batch([r.genome for r in records])
@@ -254,7 +251,6 @@ class TestProposeNext:
             history=[],
             objective_subset=normalize_subset(None),
             num_blocks=1,
-            n_init=3,
             excluded={encode(g) for g in genomes},
         )
         with pytest.raises(SpaceExhaustedError):
@@ -262,7 +258,7 @@ class TestProposeNext:
 
     def test_deterministic_proposals(self):
         state = SearchState(history=[], objective_subset=normalize_subset(None),
-                            num_blocks=5, n_init=3)
+                            num_blocks=5)
         a = propose_next(state, None, np.random.default_rng(4))
         b = propose_next(state, None, np.random.default_rng(4))
         assert a == b
@@ -667,12 +663,20 @@ class TestRunConfig:
             ("log_path", 5),
             ("log_path", ""),
             ("log_path", ["run.jsonl"]),
+            ("objective_subset", "energy"),
+            ("objective_subset", ["error", 1]),
+            ("objective_subset", {"error": True}),
         ],
     )
     def test_bad_evaluator_or_log_path_rejected_at_load(self, field, bad):
         for load in (lambda d: RunConfig(**d), RunConfig.from_json_dict):
             with pytest.raises(ValueError, match=f"^{field} must be"):
                 load({"seed": 3, "budget": 20, "n_init": 4, field: bad})
+
+    @pytest.mark.parametrize("raw", [[["seed", 2]], "abc", None, 5])
+    def test_config_that_is_not_an_object_rejected_at_load(self, raw):
+        with pytest.raises(ValueError, match=r"^config must be a JSON object \(dict\), got "):
+            RunConfig.from_json_dict(raw)
 
     @pytest.mark.parametrize(
         "macro, message",
