@@ -11,10 +11,11 @@ from features: one of the training rows, shared by the objectives' fits, and
 one of the candidate pool against them, shared by the posteriors
 (:meth:`GPModel.predict_table`); :meth:`GPModel.predict_features` is the same
 posterior for any real-valued feature rows.  Hyperparameters maximize the log
-marginal likelihood by a seeded multi-start search: bounded Powell (Powell
-1964) with Brent's bounded line search (Brent 1973), implemented in this
-module as SciPy 1.17's ``minimize(method="Powell", bounds=...)`` does it, so
-the search does not depend on the installed SciPy.
+marginal likelihood: nine seeded starts are probed, and one bounded Powell
+search (Powell 1964) with Brent's bounded line search (Brent 1973) runs from
+the best of them.  The search is implemented in this module as SciPy 1.17's
+``minimize(method="Powell", bounds=...)`` does it, so it does not depend on
+the installed SciPy.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 DEFAULT_BOUNDS = ((0.1, 100.0), (0.01, 10.0), (1e-6, 1.0))
 _LOG_BOUNDS = np.log(np.asarray(DEFAULT_BOUNDS, dtype=float))
 
-# Hyperparameter search: random starts (plus one heuristic start), then bounded
-# Powell from the three best, each stopped after _MAXFEV evaluations.
+# Hyperparameter search: random starts (plus one heuristic start) are probed,
+# then one bounded Powell search runs from the best, stopped after _MAXFEV
+# evaluations.  A fit thus evaluates the likelihood at most
+# _N_STARTS + 1 + _MAXFEV times.
 _N_STARTS = 8
 _MAXFEV = 60
 _XTOL = 1e-3
@@ -454,11 +457,11 @@ def fit(
     """Standardize targets and pick hyperparameters by maximum marginal likelihood.
 
     Starting points are ``_N_STARTS`` log-uniform draws over ``DEFAULT_BOUNDS``
-    from ``seed`` plus one median-distance heuristic; all are probed, and the
-    in-module bounded Powell search (:func:`_powell`) runs from the three most
-    promising.  Deterministic for a fixed seed.  ``table`` is
-    ``distance_table(X)``, passed by callers that fit several targets on the
-    same ``X``.
+    from ``seed`` plus one median-distance heuristic; all are probed, and one
+    in-module bounded Powell search (:func:`_powell`) runs from the one with
+    the lowest negative log marginal likelihood.  Deterministic for a fixed
+    seed.  ``table`` is ``distance_table(X)``, passed by callers that fit
+    several targets on the same ``X``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y_raw = np.asarray(y_raw, dtype=float).ravel()
@@ -487,15 +490,9 @@ def fit(
     med = float(np.sqrt(np.median(positive))) if positive.size else 1.0
     heuristic = np.log(np.clip([med, 1.0, 1e-2], *np.asarray(DEFAULT_BOUNDS, dtype=float).T))
     starts = np.vstack([heuristic, starts])
-    # Probe all starts, run the local search only from the most promising ones.
+    # Probe all starts, run the local search only from the most promising one.
     probes = np.array([neg_lml(theta0) for theta0 in starts])
-    best_theta = None
-    best_val = np.inf
-    for idx in np.argsort(probes)[:3]:
-        theta, val = _powell(neg_lml, starts[idx], lower, upper)
-        if val < best_val:
-            best_val = val
-            best_theta = theta
-    if best_theta is None or not np.isfinite(best_val):
+    theta, val = _powell(neg_lml, starts[np.argsort(probes)[0]], lower, upper)
+    if not np.isfinite(val):
         raise GPError("hyperparameter search failed for all starts")
-    return GPModel(X, y_raw, KernelParams(*np.exp(best_theta)), standardize=True, table=table)
+    return GPModel(X, y_raw, KernelParams(*np.exp(theta)), standardize=True, table=table)

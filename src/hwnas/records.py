@@ -186,8 +186,38 @@ def mend_torn_tail(path: str | Path) -> str | None:
     return action
 
 
+_REQUIRED_KEYS = ("iteration", "genome", "objectives")
+
+
+def _parse_entry(entry) -> EvaluationRecord | CellGenome:
+    """The record a log entry holds, or for a failure event the genome that failed.
+
+    Failure events are entries with ``objectives`` null; they mark genomes
+    whose evaluation failed after retries and must stay excluded from
+    proposals.  Raises :class:`LogError` for an entry that is not a JSON
+    object, lacks one of ``iteration``, ``genome`` and ``objectives``, or
+    holds a value that does not parse.
+    """
+    if not isinstance(entry, dict):
+        raise LogError(f"expected a JSON object, got {type(entry).__name__}")
+    missing = [key for key in _REQUIRED_KEYS if key not in entry]
+    if missing:
+        raise LogError(f"missing {', '.join(missing)}")
+    try:
+        if entry["objectives"] is not None:
+            return EvaluationRecord.from_json_dict(entry)
+        int(entry["iteration"])
+        return CellGenome.from_json_dict(entry["genome"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise LogError(f"unreadable entry: {type(exc).__name__}: {exc}") from exc
+
+
 def read_log(path: str | Path) -> list[dict]:
-    """Parse a JSONL run log into raw dicts (records and failure events alike)."""
+    """Parse a JSONL run log into raw dicts (records and failure events alike).
+
+    Every line is checked with :func:`_parse_entry`, so a malformed one is
+    reported as a :class:`LogError` naming the path and line.
+    """
     entries: list[dict] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -195,25 +225,27 @@ def read_log(path: str | Path) -> list[dict]:
             if not line:
                 continue
             try:
-                entries.append(json.loads(line))
+                entry = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise LogError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            try:
+                _parse_entry(entry)
+            except LogError as exc:
+                raise LogError(f"{path}:{lineno}: {exc}") from exc
+            entries.append(entry)
     return entries
 
 
 def split_log_entries(entries: list[dict]) -> tuple[list[EvaluationRecord], list[dict]]:
-    """Separate successful evaluation records from failure events.
-
-    Failure events are lines with ``objectives`` null; they mark genomes whose
-    evaluation failed after retries and must stay excluded from proposals.
-    """
+    """Separate successful evaluation records from failure events (see :func:`_parse_entry`)."""
     records: list[EvaluationRecord] = []
     failures: list[dict] = []
     for entry in entries:
-        if entry.get("objectives") is None:
-            failures.append(entry)
+        parsed = _parse_entry(entry)
+        if isinstance(parsed, EvaluationRecord):
+            records.append(parsed)
         else:
-            records.append(EvaluationRecord.from_json_dict(entry))
+            failures.append(entry)
     for expected, rec in enumerate(records):
         if rec.iteration != expected:
             raise LogError(

@@ -52,6 +52,13 @@ class TestSearchCommand:
         assert main(["search", "--config", str(cfg_path)]) == 0
         assert Path(cfg["log_path"]).read_bytes() == full
 
+    @pytest.mark.parametrize("line", ["5", '{"iteration": 0, "objectives": null}'])
+    def test_malformed_log_line_is_reported_with_its_place(self, tmp_path, capsys, line):
+        cfg_path, cfg = write_config(tmp_path)
+        Path(cfg["log_path"]).write_text(line + "\n")
+        assert main(["search", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg['log_path']}:1: ")
+
     def test_seed_mismatch_refused(self, tmp_path, capsys):
         cfg_path, cfg = write_config(tmp_path)
         assert main(["search", "--config", str(cfg_path)]) == 0

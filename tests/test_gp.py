@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import hwnas
+from hwnas import gp
 from hwnas.gp import (
     _FTOL,
     _LOG_BOUNDS,
     _MAXFEV,
+    _N_STARTS,
     _XTOL,
     _powell,
     GPError,
@@ -285,6 +287,59 @@ class TestFit:
         rmse = np.sqrt(np.mean((mean - Ft @ w) ** 2))
         # Must clearly beat the trivial predict-the-mean baseline (rmse ~ std).
         assert rmse < 0.75 * np.std(y)
+
+
+class TestFitBudget:
+    """A fit probes each start once, then makes one bounded Powell search from the best."""
+
+    @staticmethod
+    def data():
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(30, 6))
+        return X, np.sin(X.sum(axis=1))
+
+    def test_at_most_seventy_factorizations(self, monkeypatch):
+        calls = []
+        factor = gp._factor
+
+        def counting_factor(*args):
+            calls.append(args)
+            return factor(*args)
+
+        monkeypatch.setattr(gp, "_factor", counting_factor)
+        fit(*self.data(), seed=3)
+        # Probes, the search's evaluations, and the fitted model's own factorization.
+        assert len(calls) <= _N_STARTS + 1 + _MAXFEV + 1 == 70
+
+    def test_one_search_from_the_lowest_probe(self, monkeypatch):
+        thetas, searches = [], []
+        factor, powell = gp._factor, gp._powell
+
+        def recording_factor(table, y, *params):
+            thetas.append(np.log(params))
+            return factor(table, y, *params)
+
+        def recording_powell(func, x0, lower, upper):
+            probes = thetas[:]
+            searches.append((x0.copy(), probes, [func(theta) for theta in probes]))
+            return powell(func, x0, lower, upper)
+
+        monkeypatch.setattr(gp, "_factor", recording_factor)
+        monkeypatch.setattr(gp, "_powell", recording_powell)
+        fit(*self.data(), seed=3)
+        assert len(searches) == 1
+        x0, probes, values = searches[0]
+        assert len(probes) == _N_STARTS + 1
+        assert np.isfinite(values).all()
+        assert np.allclose(x0, probes[int(np.argmin(values))], rtol=0, atol=1e-12)
+
+    def test_raises_when_every_probe_is_infinite(self, monkeypatch):
+        def failing_factor(*args):
+            raise GPError("covariance not positive definite after maximum jitter 1e-6")
+
+        monkeypatch.setattr(gp, "_factor", failing_factor)
+        with pytest.raises(GPError, match="hyperparameter search failed"):
+            fit(*self.data(), seed=3)
 
 
 class TestPowell:

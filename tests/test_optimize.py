@@ -43,6 +43,36 @@ from test_evaluation import BAD_EVALUATOR_SPECS
 SYNTH = {"type": "synthetic", "profile": "movidius-ncs"}
 
 
+def _without(key, entry):
+    return {k: v for k, v in entry.items() if k != key}
+
+
+def _failure(entry):
+    return {**entry, "objectives": None, "meta": {"failed": True}}
+
+
+# Ways a run-log line can be malformed, each made from a valid record line.
+MALFORMED_ENTRIES = {
+    "number": lambda rec: 5,
+    "list": lambda rec: [rec],
+    "string": lambda rec: "record",
+    "null": lambda rec: None,
+    "record without genome": lambda rec: _without("genome", rec),
+    "record without objectives": lambda rec: _without("objectives", rec),
+    "record without iteration": lambda rec: _without("iteration", rec),
+    "failure without genome": lambda rec: _without("genome", _failure(rec)),
+    "failure without iteration": lambda rec: _without("iteration", _failure(rec)),
+    "record with a non-object genome": lambda rec: {**rec, "genome": [[0, 0, 1, 1]]},
+    "record with an unknown operation": lambda rec: {**rec, "genome": {"blocks": [[0, 0, 9, 1]]}},
+    "record with list objectives": lambda rec: {**rec, "objectives": [0.1, 1.0, 1.0]},
+    "record with a text error": lambda rec: {**rec, "objectives": {**rec["objectives"], "error": "low"}},
+    "record with a text iteration": lambda rec: {**rec, "iteration": "two"},
+    "record with a number for meta": lambda rec: {**rec, "meta": 5},
+    "failure with a text genome": lambda rec: {**_failure(rec), "genome": "cell"},
+    "failure with a null iteration": lambda rec: {**_failure(rec), "iteration": None},
+}
+
+
 def small_config(tmp_path=None, **kw):
     defaults = dict(
         seed=0,
@@ -425,6 +455,20 @@ class TestRunSearch:
         with pytest.raises(LogError):
             run_search(cfg, ev)
         assert Path(cfg.log_path).read_bytes() == corrupt
+        assert not Path(str(cfg.log_path) + ".lock").exists()
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_ENTRIES))
+    def test_malformed_entry_is_a_log_error_naming_its_line(self, tmp_path, name):
+        from hwnas.records import LogError
+
+        cfg = small_config(tmp_path)
+        ev, _ = build_evaluator(SYNTH, cfg.macro)
+        run_search(cfg, ev, budget=4)
+        lines = Path(cfg.log_path).read_text().splitlines()
+        lines[2] = json.dumps(MALFORMED_ENTRIES[name](json.loads(lines[2])))
+        Path(cfg.log_path).write_text("\n".join(lines) + "\n")
+        with pytest.raises(LogError, match=f"^{re.escape(cfg.log_path)}:3: "):
+            run_search(cfg, ev)
         assert not Path(str(cfg.log_path) + ".lock").exists()
 
     def test_n_init_one_starts_with_two_randoms(self, tmp_path):
