@@ -13,9 +13,10 @@ one of the candidate pool against them, shared by the posteriors
 posterior for any real-valued feature rows.  Hyperparameters maximize the log
 marginal likelihood: nine seeded starts are probed, and one bounded Powell
 search (Powell 1964) with Brent's bounded line search (Brent 1973) runs from
-the best of them.  The search is implemented in this module as SciPy 1.17's
-``minimize(method="Powell", bounds=...)`` does it, so it does not depend on
-the installed SciPy.
+the best of them for at most 30 evaluations.  The search is implemented in
+this module as SciPy 1.17's ``minimize(method="Powell", bounds=...)`` does
+it, so it does not depend on the installed SciPy.  Within one fit each
+hyperparameter vector is factored once; a repeat is a lookup.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ _LOG_BOUNDS = np.log(np.asarray(DEFAULT_BOUNDS, dtype=float))
 
 # Hyperparameter search: random starts (plus one heuristic start) are probed,
 # then one bounded Powell search runs from the best, stopped after _MAXFEV
-# evaluations.  A fit thus evaluates the likelihood at most
-# _N_STARTS + 1 + _MAXFEV times.
+# evaluations.  The search's first evaluation is that probe, which the fit
+# looks up rather than factors again, so a fit factors the covariance at most
+# _N_STARTS + 1 + _MAXFEV - 1 times, and once more for the fitted model.
 _N_STARTS = 8
-_MAXFEV = 60
+_MAXFEV = 30
 _XTOL = 1e-3
 _FTOL = 1e-4
 
@@ -448,6 +450,24 @@ def _powell(
     return x, fval
 
 
+def _memoize(func):
+    """``func`` with each value kept by its argument's bytes, ``inf`` included.
+
+    Powell's first evaluation is the probe it starts from, and its line
+    searches now and then return to a point; within one fit these are
+    lookups, not factorizations.
+    """
+    values: dict[bytes, float] = {}
+
+    def memoized(theta: np.ndarray) -> float:
+        key = theta.tobytes()
+        if key not in values:
+            values[key] = func(theta)
+        return values[key]
+
+    return memoized
+
+
 def fit(
     X: np.ndarray,
     y_raw: np.ndarray,
@@ -459,9 +479,11 @@ def fit(
     Starting points are ``_N_STARTS`` log-uniform draws over ``DEFAULT_BOUNDS``
     from ``seed`` plus one median-distance heuristic; all are probed, and one
     in-module bounded Powell search (:func:`_powell`) runs from the one with
-    the lowest negative log marginal likelihood.  Deterministic for a fixed
-    seed.  ``table`` is ``distance_table(X)``, passed by callers that fit
-    several targets on the same ``X``.
+    the lowest negative log marginal likelihood.  Values are kept for the
+    length of the fit (:func:`_memoize`), so no hyperparameter vector is
+    factored twice.  Deterministic for a fixed seed.  ``table`` is
+    ``distance_table(X)``, passed by callers that fit several targets on the
+    same ``X``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y_raw = np.asarray(y_raw, dtype=float).ravel()
@@ -474,6 +496,7 @@ def fit(
         table = distance_table(X)
     log_2pi_term = 0.5 * y.shape[0] * np.log(2.0 * np.pi)
 
+    @_memoize
     def neg_lml(theta: np.ndarray) -> float:
         try:
             L, alpha, _ = _factor(table, y, *np.exp(theta).tolist())

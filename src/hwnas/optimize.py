@@ -255,7 +255,7 @@ def propose_next(
     on_front = {id(r) for r in front}
     parents = state.history_codes()[[id(r) in on_front for r in state.history]]
     randoms = random_codes(rng, state.num_blocks, POOL_RANDOM)
-    mutants = mutate(np.repeat(parents, POOL_MUTATIONS_PER_PARETO, axis=0), rng, num_fields=1)
+    mutants = mutate(np.repeat(parents, POOL_MUTATIONS_PER_PARETO, axis=0), rng)
     # Sorted lexicographically, as sorting the encoding tuples would.
     pool = unique_codes(np.vstack([randoms, mutants]))
     candidates = pool[[enc not in state.excluded for enc in map(tuple, pool.tolist())]]
@@ -295,6 +295,12 @@ def _check_resume(config: RunConfig, records: list[EvaluationRecord], source: st
                 f"existing log disagrees with config on {key!r}: log has {have!r}, "
                 f"config has {want!r}"
             )
+    # read_log has checked that every genome has the first one's block count.
+    blocks = records[0].genome.num_blocks
+    if blocks != config.num_blocks:
+        raise ConfigMismatchError(
+            f"existing log's genomes have {blocks} blocks, config has num_blocks={config.num_blocks}"
+        )
 
 
 class _LogLock:

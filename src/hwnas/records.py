@@ -216,9 +216,12 @@ def read_log(path: str | Path) -> list[dict]:
     """Parse a JSONL run log into raw dicts (records and failure events alike).
 
     Every line is checked with :func:`_parse_entry`, so a malformed one is
-    reported as a :class:`LogError` naming the path and line.
+    reported as a :class:`LogError` naming the path and line.  One run
+    searches one space, so a genome whose block count differs from the
+    first entry's is refused the same way.
     """
     entries: list[dict] = []
+    first: tuple[int, int] | None = None  # (line, block count) of the first entry
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -229,9 +232,17 @@ def read_log(path: str | Path) -> list[dict]:
             except json.JSONDecodeError as exc:
                 raise LogError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
-                _parse_entry(entry)
+                parsed = _parse_entry(entry)
             except LogError as exc:
                 raise LogError(f"{path}:{lineno}: {exc}") from exc
+            blocks = (parsed.genome if isinstance(parsed, EvaluationRecord) else parsed).num_blocks
+            if first is None:
+                first = (lineno, blocks)
+            elif blocks != first[1]:
+                raise LogError(
+                    f"{path}:{lineno}: genome has {blocks} blocks, "
+                    f"line {first[0]}'s has {first[1]}"
+                )
             entries.append(entry)
     return entries
 

@@ -241,29 +241,30 @@ def unused_block_outputs(genome: CellGenome) -> set[int]:
     return set(range(genome.num_blocks)) - used
 
 
-def mutate(codes, rng: np.random.Generator, num_fields: int) -> np.ndarray:
-    """Copy of the encoded genome ``codes`` with ``num_fields`` distinct positions resampled.
+def mutate(codes, rng: np.random.Generator) -> np.ndarray:
+    """Copy of the encoded genome ``codes`` with one position resampled.
 
-    Each chosen position is drawn uniformly over its legal set, so the result
-    can coincide with the input and the Hamming distance is at most
-    ``num_fields``.  ``codes`` must be a valid encoding; a genome is mutated
-    as ``decode(mutate(encode(genome), rng, k))``.  A (k, 4 nb) matrix has its
-    rows mutated in order, drawing from ``rng`` exactly as k calls on the
-    single rows do.
+    The position is drawn uniformly, then its value uniformly over its legal
+    set, so the result can coincide with the input and the Hamming distance
+    is at most 1.  ``codes`` must be a valid encoding; a genome is mutated as
+    ``decode(mutate(encode(genome), rng))``.  A (k, 4 nb) matrix has its rows
+    mutated in order, drawing from ``rng`` exactly as k calls on the single
+    rows do.  The position draw ``rng.integers(width)`` gives the value, and
+    leaves the generator in the state, that ``rng.choice(width, size=1,
+    replace=False)`` does: Floyd's algorithm makes that choice with one
+    bounded draw over ``[0, width)``.
     """
     codes = np.asarray(codes, dtype=np.int64)
     width = codes.shape[-1] if codes.ndim else 0
     if codes.ndim not in (1, 2) or width == 0 or width % FIELDS_PER_BLOCK:
         raise GenomeError(f"encoded genome length {width} is not a positive multiple of 4")
-    if not 1 <= num_fields <= width:
-        raise ValueError(f"num_fields must be in 1..{width}, got {num_fields}")
     limits = radices(width // FIELDS_PER_BLOCK).tolist()
     rows = codes.reshape(-1, width).tolist()
-    # Python ints and bound methods: the loop is about one choice and one scalar draw per field.
-    choice, integers = rng.choice, rng.integers
+    # Python ints and a bound method: the loop is two scalar draws per row.
+    integers = rng.integers
     for row in rows:
-        for pos in sorted(choice(width, size=num_fields, replace=False).tolist()):
-            row[pos] = integers(limits[pos])
+        pos = integers(width)
+        row[pos] = integers(limits[pos])
     return np.array(rows, dtype=np.int64).reshape(codes.shape)
 
 

@@ -59,6 +59,37 @@ class TestSearchCommand:
         assert main(["search", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {cfg['log_path']}:1: ")
 
+    @pytest.mark.parametrize("failed", [False, True])
+    def test_genome_of_another_block_count_is_reported_with_its_place(self, tmp_path, capsys, failed):
+        cfg_path, cfg = write_config(tmp_path, budget=4)
+        assert main(["search", "--config", str(cfg_path)]) == 0
+        log = Path(cfg["log_path"])
+        lines = log.read_text().splitlines()
+        entry = json.loads(lines[2])
+        entry["genome"]["blocks"] *= 2
+        if failed:
+            entry["objectives"] = None
+        lines[2] = json.dumps(entry)
+        log.write_text("\n".join(lines) + "\n")
+        before = log.read_bytes()
+        assert main(["search", "--config", str(cfg_path), "--budget", "6"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg['log_path']}:3: genome has 2 blocks, line 1's has 1")
+        assert log.read_bytes() == before
+
+    def test_log_of_another_block_count_refused(self, tmp_path, capsys):
+        cfg_path, cfg = write_config(tmp_path, budget=3)
+        assert main(["search", "--config", str(cfg_path)]) == 0
+        log = Path(cfg["log_path"])
+        entries = [json.loads(line) for line in log.read_text().splitlines()]
+        for entry in entries:
+            entry["genome"]["blocks"] *= 2
+        log.write_text("".join(json.dumps(entry) + "\n" for entry in entries))
+        before = log.read_bytes()
+        assert main(["search", "--config", str(cfg_path), "--budget", "5"]) == 1
+        assert "genomes have 2 blocks, config has num_blocks=1" in capsys.readouterr().err
+        assert log.read_bytes() == before
+
     def test_seed_mismatch_refused(self, tmp_path, capsys):
         cfg_path, cfg = write_config(tmp_path)
         assert main(["search", "--config", str(cfg_path)]) == 0

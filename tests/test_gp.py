@@ -290,7 +290,10 @@ class TestFit:
 
 
 class TestFitBudget:
-    """A fit probes each start once, then makes one bounded Powell search from the best."""
+    """A fit probes each start once, then makes one bounded Powell search from the best.
+
+    No hyperparameter vector is factored twice within a fit.
+    """
 
     @staticmethod
     def data():
@@ -298,18 +301,42 @@ class TestFitBudget:
         X = rng.normal(size=(30, 6))
         return X, np.sin(X.sum(axis=1))
 
-    def test_at_most_seventy_factorizations(self, monkeypatch):
+    @staticmethod
+    def recorded_params(monkeypatch, seed=3):
+        """The (lengthscale, signal, noise) of each ``_factor`` call of one fit, in order."""
         calls = []
         factor = gp._factor
 
-        def counting_factor(*args):
-            calls.append(args)
-            return factor(*args)
+        def recording_factor(table, y, *params):
+            calls.append(params)
+            return factor(table, y, *params)
 
-        monkeypatch.setattr(gp, "_factor", counting_factor)
-        fit(*self.data(), seed=3)
-        # Probes, the search's evaluations, and the fitted model's own factorization.
-        assert len(calls) <= _N_STARTS + 1 + _MAXFEV + 1 == 70
+        monkeypatch.setattr(gp, "_factor", recording_factor)
+        fit(*TestFitBudget.data(), seed=seed)
+        return calls
+
+    def test_at_most_thirty_nine_factorizations(self, monkeypatch):
+        calls = self.recorded_params(monkeypatch)
+        # The probes, the search's evaluations but its first (the best
+        # probe, looked up), and the fitted model's own factorization.
+        assert len(calls) <= _N_STARTS + 1 + (_MAXFEV - 1) + 1 == 39
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_no_hyperparameters_factored_twice(self, monkeypatch, seed):
+        *search, model = self.recorded_params(monkeypatch, seed)
+        assert len(set(search)) == len(search)
+        # The fitted model factors the best point the search evaluated.
+        assert model in search
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_memo_changes_no_bit_of_the_fit(self, monkeypatch, seed):
+        X, y = self.data()
+        memoized = fit(X, y, seed=seed)
+        monkeypatch.setattr(gp, "_memoize", lambda func: func)
+        bare = fit(X, y, seed=seed)
+        assert memoized.params == bare.params
+        assert memoized.L.tobytes() == bare.L.tobytes()
+        assert memoized.alpha.tobytes() == bare.alpha.tobytes()
 
     def test_one_search_from_the_lowest_probe(self, monkeypatch):
         thetas, searches = [], []

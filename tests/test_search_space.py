@@ -204,15 +204,11 @@ class TestUnusedOutputs:
 
 
 class TestMutate:
-    def test_zero_fields_rejected(self):
-        with pytest.raises(ValueError):
-            mutate(encode(all_identity_genome()), np.random.default_rng(0), 0)
-
     def test_single_field_hamming_at_most_one(self):
         rng = np.random.default_rng(21)
         base = all_identity_genome()
         for _ in range(200):
-            out = decode(mutate(encode(base), rng, 1))
+            out = decode(mutate(encode(base), rng))
             distance = sum(a != b for a, b in zip(encode(base), encode(out)))
             assert distance <= 1
 
@@ -220,14 +216,14 @@ class TestMutate:
         rng = np.random.default_rng(22)
         g = random_genome(rng)
         for _ in range(1000):
-            n = int(rng.integers(1, 21))
-            g2 = decode(mutate(encode(g), rng, n))
+            g2 = decode(mutate(encode(g), rng))
             assert validate_genome(g2) == []
-            assert sum(a != b for a, b in zip(encode(g), encode(g2))) <= n
+            assert sum(a != b for a, b in zip(encode(g), encode(g2))) <= 1
+            g = g2
 
     def test_non_encoding_rejected(self):
         with pytest.raises(GenomeError):
-            mutate([0, 1, 1], np.random.default_rng(0), 1)
+            mutate([0, 1, 1], np.random.default_rng(0))
 
 
 BLOCK_COUNTS = st.sampled_from([1, 2, 5])
@@ -243,12 +239,12 @@ def scalar_draw(rng, nb):
     return tuple(out)
 
 
-def scalar_mutate(vec, rng, k):
-    """Reference: the per-field mutation loop on a list of Python ints."""
+def scalar_mutate(vec, rng):
+    """Reference: one position by ``choice`` without replacement, as the stream first drew it, then its value."""
     vec = list(vec)
-    for pos in sorted(int(p) for p in rng.choice(len(vec), size=k, replace=False)):
-        block, slot = divmod(pos, 4)
-        vec[pos] = int(rng.integers(input_bound(block) if slot < 2 else NUM_OPERATIONS))
+    (pos,) = rng.choice(len(vec), size=1, replace=False).tolist()
+    block, slot = divmod(pos, 4)
+    vec[pos] = int(rng.integers(input_bound(block) if slot < 2 else NUM_OPERATIONS))
     return tuple(vec)
 
 
@@ -268,47 +264,52 @@ class TestIntegerCodes:
         assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(nb=BLOCK_COUNTS, data=st.data(), seed=st.integers(0, 2**32 - 1))
-    def test_mutate_changes_at_most_num_fields_within_radices(self, nb, data, seed):
+    @given(nb=BLOCK_COUNTS, seed=st.integers(0, 2**32 - 1))
+    def test_mutate_changes_at_most_one_field_within_radices(self, nb, seed):
         rng = np.random.default_rng(seed)
         codes = random_codes(rng, nb, 1)[0]
-        k = data.draw(st.integers(1, 4 * nb))
         state = rng.bit_generator.state
-        out = mutate(codes, rng, k)
+        out = mutate(codes, rng)
         assert out.shape == codes.shape
-        assert np.count_nonzero(out != codes) <= k
+        assert np.count_nonzero(out != codes) <= 1
         assert np.all((out >= 0) & (out < radices(nb)))
         assert np.array_equal(codes, random_codes(np.random.default_rng(seed), nb, 1)[0])
         reference = np.random.default_rng()
         reference.bit_generator.state = state
-        assert tuple(out.tolist()) == scalar_mutate(codes.tolist(), reference, k)
+        assert tuple(out.tolist()) == scalar_mutate(codes.tolist(), reference)
         assert reference.bit_generator.state == rng.bit_generator.state
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(nb=BLOCK_COUNTS, count=st.integers(0, 12), data=st.data(), seed=st.integers(0, 2**32 - 1))
-    def test_mutate_matrix_is_its_rows_mutated_in_order(self, nb, count, data, seed):
+    @given(nb=BLOCK_COUNTS, count=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+    def test_mutate_matrix_is_its_rows_mutated_in_order(self, nb, count, seed):
         rng = np.random.default_rng(seed)
         codes = random_codes(rng, nb, count)
         given_codes = codes.copy()
-        k = data.draw(st.integers(1, 4 * nb))
         matrix_rng, row_rng, scalar_rng = (np.random.default_rng() for _ in range(3))
         for other in (matrix_rng, row_rng, scalar_rng):
             other.bit_generator.state = rng.bit_generator.state
-        out = mutate(codes, matrix_rng, k)
+        out = mutate(codes, matrix_rng)
         assert out.shape == codes.shape and out.dtype == np.int64
         assert np.array_equal(codes, given_codes)
         rows = [tuple(row) for row in out.tolist()]
-        assert rows == [tuple(mutate(row, row_rng, k).tolist()) for row in codes]
-        assert rows == [scalar_mutate(row, scalar_rng, k) for row in codes.tolist()]
+        assert rows == [tuple(mutate(row, row_rng).tolist()) for row in codes]
+        assert rows == [scalar_mutate(row, scalar_rng) for row in codes.tolist()]
         assert matrix_rng.bit_generator.state == row_rng.bit_generator.state == scalar_rng.bit_generator.state
 
     def test_mutate_rejects_other_shapes(self):
         rng = np.random.default_rng(0)
         for bad in (np.zeros((2, 3), dtype=int), np.zeros((1, 2, 4), dtype=int), np.zeros((3, 0), dtype=int), 5):
             with pytest.raises(GenomeError):
-                mutate(bad, rng, 1)
-        with pytest.raises(ValueError):
-            mutate(np.zeros((2, 4), dtype=int), rng, 5)
+                mutate(bad, rng)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_one_choice_without_replacement_is_one_integers_draw(self, n, seed):
+        # mutate draws its position with integers(width) where it once called choice.
+        chosen, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert chosen.choice(n, size=1, replace=False).tolist() == [int(drawn.integers(n))]
+            assert chosen.bit_generator.state == drawn.bit_generator.state
 
 
 class TestUniqueCodes:
@@ -323,7 +324,7 @@ class TestUniqueCodes:
         # 7 blocks take the Python-int ranks: the space outgrows int64.
         rng = np.random.default_rng(seed)
         codes = random_codes(rng, nb, count)
-        codes = np.vstack([codes, codes[::2], mutate(np.repeat(codes, copies, axis=0), rng, 1)])
+        codes = np.vstack([codes, codes[::2], mutate(np.repeat(codes, copies, axis=0), rng)])
         codes = codes[rng.permutation(len(codes))]
         got = unique_codes(codes)
         want = np.unique(codes, axis=0)
