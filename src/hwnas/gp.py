@@ -26,7 +26,6 @@ from math import isnan, sqrt
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, solve_triangular
-from scipy.spatial.distance import cdist
 
 from .search_space import FIELDS_PER_BLOCK, CellGenome, encode, radices
 
@@ -97,11 +96,6 @@ class KernelParams:
             raise ValueError("noise_variance must be non-negative")
 
 
-def kernel_matrix(A: np.ndarray, B: np.ndarray, params: KernelParams) -> np.ndarray:
-    sq = cdist(np.atleast_2d(A), np.atleast_2d(B), metric="sqeuclidean")
-    return params.signal_variance * np.exp(-sq / (2.0 * params.lengthscale**2))
-
-
 # LAPACK Cholesky factorization and solve for float64, fetched once.
 _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
@@ -126,6 +120,23 @@ def _table(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniq, inverse.reshape(sq.shape)
 
 
+def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances of the rows of ``A`` to the rows of ``B``.
+
+    Summed one feature at a time from zero, the order in which SciPy's
+    ``cdist(A, B, "sqeuclidean")`` sums, so the bits are its bits.
+    """
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"feature count mismatch: {A.shape[1]} vs {B.shape[1]}")
+    out = np.zeros((A.shape[0], B.shape[0]))
+    term = np.empty_like(out)
+    for a, b in zip(A.T, B.T):
+        np.subtract(a[:, None], b, out=term)
+        term *= term
+        out += term
+    return out
+
+
 def distance_table(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise squared distances of ``X`` as (unique values, (n, n) index into them).
 
@@ -133,14 +144,14 @@ def distance_table(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     built by exponentiating the unique values and gathering them, not by
     exponentiating all n^2 entries.
     """
-    return _table(cdist(X, X, metric="sqeuclidean"))
+    return _table(_squared_distances(X, X))
 
 
 def hamming_table(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Squared feature distances of encoded genomes ``A`` to ``B`` as (unique values, index).
 
-    Equal to ``np.unique(cdist(featurize_codes(A), featurize_codes(B),
-    "sqeuclidean"), return_inverse=True)``, index dtype (``intp``) included,
+    Equal to ``np.unique(_squared_distances(featurize_codes(A),
+    featurize_codes(B)), return_inverse=True)``, index dtype (``intp``) included,
     since on one-hot features that distance is twice the Hamming distance of
     the codes; ``hamming_table(codes, codes)`` is ``distance_table`` of their
     features.  The mismatches are counted one field at a time, so no
@@ -276,7 +287,7 @@ class GPModel:
     def predict_features(self, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at the feature rows ``F`` (see :meth:`predict_table`)."""
         F = np.atleast_2d(np.asarray(F, dtype=float))
-        return self.predict_table(_table(cdist(F, self.X, metric="sqeuclidean")))
+        return self.predict_table(_table(_squared_distances(F, self.X)))
 
 
 class _OutOfEvaluations(Exception):

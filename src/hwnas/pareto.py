@@ -19,6 +19,8 @@ from .records import EvaluationRecord, ObjectiveVector, normalize_subset, object
 # alive at once fit in a core's L2 cache.
 _CHUNK_ELEMENTS = 20_000
 
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
+
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector, subset=None) -> bool:
     """True iff ``a`` is no worse than ``b`` everywhere on the subset and differs."""
@@ -139,12 +141,27 @@ def hypervolume(points: list[ObjectiveVector], ref: ObjectiveVector, subset=None
 
 
 def _expected_shortfall(a: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    """E[(a - s)+] for s ~ N(mean, std^2), elementwise; (a - mean)+ where std is 0."""
+    """E[(a - s)+] for s ~ N(mean, std^2), elementwise; (a - mean)+ where std is 0.
+
+    ``diff * ndtr(z) + std * exp(-0.5 * z * z) / sqrt(2 pi)`` with
+    ``diff = a - mean`` and ``z = diff / std``, evaluated in place in that
+    order (so to the same bits) in three arrays of the broadcast shape.
+    """
     diff = a - mean
     with np.errstate(divide="ignore", invalid="ignore"):
         z = diff / std
-        smooth = diff * ndtr(z) + std * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-    return np.where(std > 0, smooth, np.maximum(diff, 0.0))
+        out = ndtr(z)
+        out *= diff
+        tail = np.multiply(-0.5, z, out=diff)
+        tail *= z
+        np.exp(tail, out=tail)
+        tail *= std
+        tail /= _SQRT_2PI
+        out += tail
+    positive = std > 0
+    if not positive.all():
+        np.copyto(out, np.maximum(a - mean, 0.0), where=~positive)
+    return out
 
 
 def hypervolume_improvements(

@@ -241,6 +241,22 @@ def unused_block_outputs(genome: CellGenome) -> set[int]:
     return set(range(genome.num_blocks)) - used
 
 
+_WORD = 1 << 32
+
+
+def _bounded(words: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """NumPy's draws below ``bounds`` from uint64-held 32-bit words: (values, rejected).
+
+    Lemire's multiply-shift rule (Lemire 2019), as ``Generator.integers``
+    applies it for a bound ``b`` from 2 to 2**32 - 1 (it takes no word for
+    1): the value is ``(w * b) >> 32``, and a word whose low half ``(w * b)
+    mod 2**32`` falls below ``2**32 mod b`` is rejected, the draw then
+    taking the next word.
+    """
+    product = words * bounds
+    return product >> 32, (product & (_WORD - 1)) < _WORD % bounds
+
+
 def mutate(codes, rng: np.random.Generator) -> np.ndarray:
     """Copy of the encoded genome ``codes`` with one position resampled.
 
@@ -249,23 +265,38 @@ def mutate(codes, rng: np.random.Generator) -> np.ndarray:
     is at most 1.  ``codes`` must be a valid encoding; a genome is mutated as
     ``decode(mutate(encode(genome), rng))``.  A (k, 4 nb) matrix has its rows
     mutated in order, drawing from ``rng`` exactly as k calls on the single
-    rows do.  The position draw ``rng.integers(width)`` gives the value, and
-    leaves the generator in the state, that ``rng.choice(width, size=1,
-    replace=False)`` does: Floyd's algorithm makes that choice with one
-    bounded draw over ``[0, width)``.
+    rows, or a loop of ``pos = rng.integers(width)`` and ``rng.integers(
+    radices(nb)[pos])``, do.  (``rng.choice(width, size=1, replace=False)``
+    makes the same position draw: Floyd's algorithm takes one bounded draw.)
+
+    The 2k words come from one ``rng.integers(0, 2**32, size=2 * k,
+    dtype=np.uint32)`` call and are decoded by NumPy's rule
+    (:func:`_bounded`).  A scalar draw takes one word per attempt, so at the
+    first rejected word the rows before it stand, the word is dropped, one
+    more is drawn, and decoding resumes at its row.
     """
     codes = np.asarray(codes, dtype=np.int64)
     width = codes.shape[-1] if codes.ndim else 0
     if codes.ndim not in (1, 2) or width == 0 or width % FIELDS_PER_BLOCK:
         raise GenomeError(f"encoded genome length {width} is not a positive multiple of 4")
-    limits = radices(width // FIELDS_PER_BLOCK).tolist()
-    rows = codes.reshape(-1, width).tolist()
-    # Python ints and a bound method: the loop is two scalar draws per row.
-    integers = rng.integers
-    for row in rows:
-        pos = integers(width)
-        row[pos] = integers(limits[pos])
-    return np.array(rows, dtype=np.int64).reshape(codes.shape)
+    limits = radices(width // FIELDS_PER_BLOCK).astype(np.uint64)
+    rows = codes.reshape(-1, width).copy()
+    # The words of rows[done:], position and value word alternating.
+    words = rng.integers(0, _WORD, size=2 * rows.shape[0], dtype=np.uint32).astype(np.uint64)
+    done = 0
+    while True:
+        pos, pos_rejected = _bounded(words[0::2], np.uint64(width))
+        value, value_rejected = _bounded(words[1::2], limits[pos])
+        rejected_rows = np.flatnonzero(pos_rejected | value_rejected)
+        kept = rejected_rows[0] if rejected_rows.size else pos.size
+        rows[np.arange(done, done + kept), pos[:kept]] = value[:kept]
+        if not rejected_rows.size:
+            return rows.reshape(codes.shape)
+        # The row's position word if that was rejected, else its value word.
+        first = 2 * kept + int(not pos_rejected[kept])
+        more = rng.integers(0, _WORD, size=1, dtype=np.uint32)
+        words = np.concatenate((words[2 * kept : first], words[first + 1 :], more))
+        done += kept
 
 
 @lru_cache

@@ -19,6 +19,7 @@ from hwnas.gp import (
     _N_STARTS,
     _XTOL,
     _powell,
+    _squared_distances,
     GPError,
     GPModel,
     KernelParams,
@@ -29,12 +30,17 @@ from hwnas.gp import (
     featurize_codes,
     fit,
     hamming_table,
-    kernel_matrix,
     log_marginal_likelihood,
 )
 from hwnas.search_space import Operation, decode, encode, random_codes, random_genome
 
 from test_search_space import all_identity_genome
+
+
+def kernel_matrix(A, B, params):
+    """Reference squared-exponential covariance of the rows of ``A`` and ``B``, through SciPy's ``cdist``."""
+    sq = cdist(np.atleast_2d(A), np.atleast_2d(B), metric="sqeuclidean")
+    return params.signal_variance * np.exp(-sq / (2.0 * params.lengthscale**2))
 
 
 def lml_dense_oracle(params, X, y):
@@ -120,7 +126,30 @@ class TestKernel:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            kernel_matrix(np.zeros(3), np.zeros(4), KernelParams(1, 1, 0))
+            _squared_distances(np.zeros((1, 3)), np.zeros((1, 4)))
+        model = GPModel(np.zeros((2, 3)), np.array([0.0, 1.0]), KernelParams(1, 1, 0.1))
+        with pytest.raises(ValueError):
+            model.predict_features(np.zeros((1, 4)))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        m=st.integers(0, 12),
+        n=st.integers(0, 12),
+        d=st.integers(1, 139),
+        log_scale=st.integers(-8, 8),
+        one_hot=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_squared_distances_are_the_cdist_bits(self, m, n, d, log_scale, one_hot, seed):
+        rng = np.random.default_rng(seed)
+        if one_hot:
+            A, B = (rng.integers(0, 2, size=(k, d)).astype(float) for k in (m, n))
+        else:
+            A, B = (rng.normal(size=(k, d)) * 10.0**log_scale for k in (m, n))
+        B[: min(m, n) // 2] = A[: min(m, n) // 2]
+        got = _squared_distances(A, B)
+        assert got.shape == (m, n)
+        assert got.tobytes() == cdist(A, B, "sqeuclidean").tobytes()
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -429,18 +458,28 @@ class TestPowell:
         assert fun == want.fun
 
 
-def test_importing_the_package_leaves_out_scipy_optimize():
-    """The hyperparameter search is in-module, so no import pulls in scipy.optimize."""
+def modules_loaded_by_importing_the_package(prefix):
+    """Names starting with ``prefix`` in ``sys.modules`` of a fresh interpreter that imported every module."""
     code = (
         "import sys, hwnas, hwnas.cli, hwnas.optimize, hwnas.evaluation; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+        f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     )
     paths = [str(Path(hwnas.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_importing_the_package_leaves_out_scipy_optimize():
+    """The hyperparameter search is in-module, so no import pulls in scipy.optimize."""
+    assert modules_loaded_by_importing_the_package("scipy.optimize") == "[]"
+
+
+def test_importing_the_package_leaves_out_scipy_spatial():
+    """Squared distances are summed in NumPy, so no import pulls in scipy.spatial."""
+    assert modules_loaded_by_importing_the_package("scipy.spatial") == "[]"
 
 
 class TestFactorization:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from hwnas import pareto
 from hwnas.pareto import (
@@ -363,3 +364,45 @@ class TestImprovementChunks:
         one_chunk = self.improvements(front, ref, means, stds, m * boxes)
         assert np.array_equal(self.improvements(front, ref, means, stds, pareto._CHUNK_ELEMENTS), one_chunk)
         assert np.array_equal(self.improvements(front, ref, means, stds, 1), one_chunk)
+
+
+def shortfall_formula(a, mean, std):
+    """Reference: E[(a - s)+] for s ~ N(mean, std^2) as one expression, then (a - mean)+ where std is 0."""
+    diff = a - mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = diff / std
+        smooth = diff * ndtr(z) + std * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+    return np.where(std > 0, smooth, np.maximum(diff, 0.0))
+
+
+class TestExpectedShortfall:
+    """The in-place shortfall has the bits of the one-expression formula."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        rows=st.integers(1, 60),
+        corners=st.integers(1, 40),
+        zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_as_the_formula(self, rows, corners, zero_share, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1.0, 1.0, size=(1, corners))
+        # One (mean, std) per row, as the box corners are scored, and one per
+        # cell, as the reference point is; |z| reaches 40 and beyond.
+        for cols in (1, corners):
+            mean = rng.uniform(-1.0, 1.0, size=(rows, cols))
+            std = 10.0 ** rng.uniform(-1.7, 1.0, size=mean.shape)
+            std[rng.random(mean.shape) < zero_share] = 0.0
+            std = np.broadcast_to(std, mean.shape)  # read-only, as hypervolume_improvements passes it
+            got = pareto._expected_shortfall(a, mean, std)
+            assert np.array_equal(got.view(np.int64), shortfall_formula(a, mean, std).view(np.int64))
+
+    def test_far_tails_and_zero_stds(self):
+        z = np.linspace(-40.0, 40.0, 161)
+        a = z[None, :]
+        mean = np.zeros((3, 1))
+        std = np.array([[1.0], [0.0], [1e-150]])
+        got = pareto._expected_shortfall(a, mean, std)
+        assert np.array_equal(got.view(np.int64), shortfall_formula(a, mean, std).view(np.int64))
+        assert np.array_equal(got[1], np.maximum(z, 0.0))

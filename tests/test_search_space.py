@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.random import PCG64, SeedSequence
 
 from hwnas.search_space import (
     ENUMERATION_CAP,
@@ -248,6 +249,56 @@ def scalar_mutate(vec, rng):
     return tuple(vec)
 
 
+def loop_mutate(codes, rng):
+    """Reference: each row's position, then its value, each by one scalar ``integers`` call."""
+    rows = np.array(codes, dtype=np.int64)
+    limits = radices(rows.shape[1] // 4)
+    for row in rows:
+        pos = rng.integers(rows.shape[1])
+        row[pos] = rng.integers(limits[pos])
+    return rows
+
+
+# A word of default_rng(0)'s 32-bit stream that NumPy rejects for bound 20.
+REJECTED_WORD = 106_248_776
+
+
+class ScriptedWords:
+    """Stands in for a generator's ``integers(0, 2**32, size, dtype=np.uint32)``: given words, then seeded ones."""
+
+    def __init__(self, words, seed):
+        self.words = list(words)
+        self.rest = np.random.default_rng(seed)
+        self.drawn = 0
+
+    def next_word(self):
+        self.drawn += 1
+        if self.drawn <= len(self.words):
+            return self.words[self.drawn - 1]
+        return int(self.rest.integers(0, 2**32, dtype=np.uint32))
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 2**32, np.uint32)
+        return np.array([self.next_word() for _ in range(size)], dtype=np.uint32)
+
+
+def rule_mutate(codes, source):
+    """Reference: NumPy's bounded-draw rule applied one word at a time, position then value."""
+
+    def draw(bound):
+        while True:
+            product = source.next_word() * bound
+            if product % 2**32 >= 2**32 % bound:
+                return product >> 32
+
+    rows = np.array(codes, dtype=np.int64)
+    limits = radices(rows.shape[1] // 4).tolist()
+    for row in rows:
+        pos = draw(rows.shape[1])
+        row[pos] = draw(limits[pos])
+    return rows
+
+
 class TestIntegerCodes:
     def test_radices_of_two_blocks(self):
         assert radices(2).tolist() == [2, 2, 8, 8, 3, 3, 8, 8]
@@ -301,6 +352,64 @@ class TestIntegerCodes:
         for bad in (np.zeros((2, 3), dtype=int), np.zeros((1, 2, 4), dtype=int), np.zeros((3, 0), dtype=int), 5):
             with pytest.raises(GenomeError):
                 mutate(bad, rng)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        nb=st.integers(1, 5),
+        count=st.integers(0, 64),
+        earlier_words=st.integers(0, 3).map(lambda i: 2 * i + 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mutate_draws_as_a_loop_of_integers_calls(self, nb, count, earlier_words, seed):
+        # An odd number of earlier 32-bit draws leaves half a 64-bit output buffered.
+        rng = np.random.default_rng(seed)
+        codes = random_codes(rng, nb, count)
+        rng.integers(0, 2**32, size=earlier_words, dtype=np.uint32)
+        looped = np.random.default_rng()
+        looped.bit_generator.state = rng.bit_generator.state
+        out = mutate(codes, rng)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, loop_mutate(codes, looped))
+        assert rng.bit_generator.state == looped.bit_generator.state
+
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_a_rejected_position_word_is_redrawn(self, row):
+        # NumPy rejects word 106,248,776 of default_rng(0) for bound 20 (five
+        # blocks' width) and takes integers(20) == 13 from the next word; the
+        # PCG64 stream jumps there by 64-bit outputs, two words each.
+        def stream():
+            return np.random.Generator(PCG64(SeedSequence(0)).advance(REJECTED_WORD // 2 - row))
+
+        words = stream().integers(0, 2**32, size=2 * row + 2, dtype=np.uint32).astype(np.uint64)
+        assert (int(words[2 * row]) * 20) % 2**32 < 2**32 % 20
+        skipped = stream()
+        skipped.integers(0, 2**32, size=2 * row, dtype=np.uint32)
+        assert skipped.integers(20) == 13
+        codes = random_codes(np.random.default_rng(row), 5, 8)
+        rng, looped = stream(), stream()
+        out = mutate(codes, rng)
+        assert np.array_equal(out, loop_mutate(codes, looped))
+        assert np.flatnonzero(out[row] != codes[row]).tolist() in ([], [13])
+        assert rng.bit_generator.state == looped.bit_generator.state
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        count=st.integers(0, 12),
+        words=st.lists(st.sampled_from([0, 2**32 // 3 + 1, 2**31]) | st.integers(0, 2**32 - 1), max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Row 1's value word and row 2's first two position words are rejected.
+    @example(count=3, words=[1, 1, 2**32 // 3 + 1, 0, 5, 0, 0], seed=0)
+    def test_rejected_words_anywhere_follow_the_rule(self, count, words, seed):
+        # Three blocks: the position bound 12 and value bounds 3 reject word 0
+        # (2**32 mod b > 0); 2**32 // 3 + 1 picks position 4, whose bound is 3.
+        # Any row may see rejected words, position and value ones alike.
+        codes = random_codes(np.random.default_rng(seed), 3, count)
+        rng = ScriptedWords(words, seed)
+        out = mutate(codes, rng)
+        reference = ScriptedWords(words, seed)
+        assert np.array_equal(out, rule_mutate(codes, reference))
+        assert rng.drawn == reference.drawn
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
