@@ -314,7 +314,10 @@ def _parse_response(raw: dict, workdir: Path) -> ObjectiveVector:
         trace_path = workdir / trace_path
     if not trace_path.exists():
         raise ResponseError(f"trace file not found: {trace_path}")
-    trace = PowerTrace.from_csv(trace_path)
+    try:
+        trace = PowerTrace.from_csv(trace_path)
+    except OSError as exc:  # a directory, or a file that cannot be opened
+        raise ResponseError(f"trace file could not be read: {exc}") from exc
     t1, t2 = segment_trace(trace, float(raw["threshold_w"]))
     return ObjectiveVector(
         error=error,

@@ -21,7 +21,7 @@ import numpy as np
 from . import gp
 from .evaluation import ResponseError, build_evaluator
 from .network import MacroConfig
-from .pareto import hypervolume_improvements, pareto_filter
+from .pareto import contenders, hypervolume_improvements, pareto_filter
 from .records import (
     SOURCE_BO,
     SOURCE_RANDOM,
@@ -188,14 +188,12 @@ def _fit_models(
     }
 
 
-def _acquisition_batch(
+def _posteriors(
     models: dict[str, gp.GPModel],
     subset: tuple[str, ...],
-    front_t: np.ndarray,
-    ref: np.ndarray,
     table: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Exact EHVI of each candidate, from the per-objective posteriors (model space).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-candidate posterior means and stds (model space), one column per objective.
 
     Every model is fit on the same training rows, in order, and ``table`` is
     ``gp.hamming_table(candidates, training codes)``: one distance table
@@ -207,9 +205,7 @@ def _acquisition_batch(
         mean, var = models[name].predict_table(table)
         means[:, j] = mean
         stds[:, j] = np.sqrt(var)
-    # Duplicate objective rows add nothing to the union of boxes; dedupe for speed.
-    front_unique = np.unique(front_t, axis=0) if front_t.shape[0] else front_t
-    return hypervolume_improvements(front_unique, ref, means, stds)
+    return means, stds
 
 
 def _random_unevaluated(
@@ -264,9 +260,14 @@ def propose_next(
 
     ref = reference_point(transform_values(objective_matrix(state.history, subset), subset))
     front_t = transform_values(objective_matrix(front, subset), subset)
-    table = gp.hamming_table(candidates, state.history_codes())
-    scores = _acquisition_batch(models, subset, front_t, ref, table)
-    return decode(candidates[int(np.argmax(scores))], state.num_blocks)
+    means, stds = _posteriors(models, subset, gp.hamming_table(candidates, state.history_codes()))
+    # Duplicate objective rows add nothing to the union of boxes; dedupe for speed.
+    front_unique = np.unique(front_t, axis=0) if front_t.shape[0] else front_t
+    # Only the rows that can still win are scored; a row's score does not
+    # depend on the others, so the first argmax is the whole pool's.
+    rows = contenders(front_unique, ref, means, stds)
+    scores = hypervolume_improvements(front_unique, ref, means[rows], stds[rows])
+    return decode(candidates[rows[int(np.argmax(scores))]], state.num_blocks)
 
 
 def _config_fingerprint(config: RunConfig, source: str) -> dict:

@@ -4,6 +4,15 @@ All objectives are minimized.  The region a point set dominates w.r.t. a
 reference point ``ref`` is the union of boxes [p, ref].  One z-sweep splits
 it into disjoint boxes; the hypervolume is the sum of their volumes, and the
 closed-form expected hypervolume improvement is a vectorized sum over them.
+
+A search needs only the candidate with the largest improvement.  Each box
+term is non-negative, so a candidate's own term minus its terms over some of
+the boxes bounds its score from above; ``contenders`` walks the largest boxes
+first and drops the rows whose bound falls below an exact score of another
+row, with a slack (1e-9 of the own term) far above any rounding of the sums.
+A row's score is computed elementwise and summed left to right over the
+boxes, so scoring the remaining rows alone gives each the bits it has in the
+whole pool: the first argmax, ties included, cannot change.
 """
 
 from __future__ import annotations
@@ -18,6 +27,13 @@ from .records import EvaluationRecord, ObjectiveVector, normalize_subset, object
 # Elements per (candidates, boxes) intermediate of the EHVI, so that the few
 # alive at once fit in a core's L2 cache.
 _CHUNK_ELEMENTS = 20_000
+# The pruning walk of `contenders`: boxes per group, rows scored over all the
+# boxes after each group, the live-row count that ends the walk, and the
+# slack on a row's upper bound, relative to its own score.
+_PRUNE_GROUP = 16
+_PRUNE_EXACT = 4
+_PRUNE_STOP = 32
+_PRUNE_SLACK = 1e-9
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -164,6 +180,53 @@ def _expected_shortfall(a: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.
     return out
 
 
+def _candidates(ref, means, stds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ref`` as floats, ``means`` as (rows, d) floats, ``stds`` broadcast to them (None is 0)."""
+    ref = np.asarray(ref, dtype=float)
+    means = np.atleast_2d(np.asarray(means, dtype=float))
+    stds = np.broadcast_to(np.asarray(0.0 if stds is None else stds, dtype=float), means.shape)
+    return ref, means, stds
+
+
+def _own(ref: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    """prod_j h_j(ref_j) per row: the score before any box is subtracted."""
+    return np.prod(_expected_shortfall(ref[None, :], means, stds), axis=1)
+
+
+def _box_corners(boxes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per axis: the distinct corner values of ``boxes`` and each box's (lower, upper) index into them."""
+    corners = []
+    for j in range(boxes.shape[2]):
+        values, index = np.unique(boxes[:, :, j], return_inverse=True)
+        corners.append((values, index.reshape(boxes.shape[0], 2)))
+    return corners
+
+
+def _covered(corners: list, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    """(rows, boxes): the expected volume of each box a candidate covers, prod_j (h_j(u_j) - h_j(l_j))."""
+    covered = 1.0
+    for j, (values, index) in enumerate(corners):
+        h = _expected_shortfall(values[None, :], means[:, j : j + 1], stds[:, j : j + 1])
+        covered = covered * (h[:, index[:, 1]] - h[:, index[:, 0]])
+    return covered
+
+
+def _row_chunks(rows: np.ndarray, width: int):
+    """``rows`` in slices of at most ``_CHUNK_ELEMENTS // width`` (at least one row each)."""
+    step = max(1, _CHUNK_ELEMENTS // max(width, 1))
+    return (rows[start : start + step] for start in range(0, len(rows), step))
+
+
+def _improvements(own: np.ndarray, corners: list, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    """``own`` minus each row's covered sum over all the boxes of ``corners``, floored at 0."""
+    out = np.empty(means.shape[0])
+    for rows in _row_chunks(np.arange(means.shape[0]), corners[0][1].shape[0]):
+        # A left-to-right scan over the boxes, whatever the chunk's row count:
+        # sum() would add a one-row chunk pairwise and the others in order.
+        out[rows] = np.add.accumulate(_covered(corners, means[rows], stds[rows]), axis=1)[:, -1]
+    return np.maximum(own - out, 0.0)
+
+
 def hypervolume_improvements(
     front_values: np.ndarray,
     ref: np.ndarray,
@@ -177,28 +240,67 @@ def hypervolume_improvements(
     of the dominated region, with h_j(a) = E[(a - s_j)+],
         EHVI = prod_j h_j(ref_j) - sum_boxes prod_j (h_j(u_j) - h_j(l_j)),
     as (u - max(l, s))+ = (u - s)+ - (l - s)+ (Yang, Emmerich, Deutz & Baeck 2019).
+    Box corners take few distinct values per axis, so h_j is evaluated there
+    and gathered.  A row's score does not depend on the other rows.
     """
-    ref = np.asarray(ref, dtype=float)
-    means = np.atleast_2d(np.asarray(means, dtype=float))
-    stds = np.broadcast_to(np.asarray(0.0 if stds is None else stds, dtype=float), means.shape)
-    own = np.prod(_expected_shortfall(ref[None, :], means, stds), axis=1)
+    ref, means, stds = _candidates(ref, means, stds)
+    own = _own(ref, means, stds)
     boxes = dominated_boxes(front_values, ref)
     if not boxes.shape[0]:
         return own
-    # Box corners take few distinct values per axis: evaluate h_j there, then gather.
-    corners = []
-    for j in range(ref.shape[0]):
-        values, index = np.unique(boxes[:, :, j], return_inverse=True)
-        corners.append((values, index.reshape(boxes.shape[0], 2)))
-    out = np.empty(means.shape[0])
-    chunk = max(1, _CHUNK_ELEMENTS // boxes.shape[0])
-    for start in range(0, means.shape[0], chunk):
-        rows = slice(start, start + chunk)
-        covered = 1.0
-        for j, (values, index) in enumerate(corners):
-            h = _expected_shortfall(values[None, :], means[rows, j : j + 1], stds[rows, j : j + 1])
-            covered = covered * (h[:, index[:, 1]] - h[:, index[:, 0]])
-        # A left-to-right scan over the boxes, whatever the chunk's row count:
-        # sum() would add a one-row chunk pairwise and the others in order.
-        out[rows] = np.add.accumulate(covered, axis=1)[:, -1]
-    return np.maximum(own - out, 0.0)
+    return _improvements(own, _box_corners(boxes), means, stds)
+
+
+def contenders(
+    front_values: np.ndarray,
+    ref: np.ndarray,
+    means: np.ndarray,
+    stds: np.ndarray | None = None,
+) -> np.ndarray:
+    """Ascending rows of ``means`` that may hold the largest hypervolume improvement.
+
+    Every box term is non-negative, so ``own`` minus a row's covered sum over
+    some of the boxes bounds its score from above.  The boxes are walked in
+    groups of ``_PRUNE_GROUP``, largest volume first.  After each group the
+    ``_PRUNE_EXACT`` live rows with the highest bounds are scored over all the
+    boxes; the best such score is a lower bound on the maximum.  A row is
+    dropped once its bound plus ``_PRUNE_SLACK * own`` is below that best: the
+    slack exceeds the rounding of any summation order by orders of magnitude,
+    so a dropped row's computed score is strictly below a kept row's.  Every
+    row whose score equals the maximum is kept, and scores do not depend on
+    which other rows are scored, so the first argmax of
+    ``hypervolume_improvements`` over the contenders is the first argmax over
+    all the rows, to the bit.  The walk stops at ``_PRUNE_STOP`` live rows.
+    All rows are kept when there are few rows, one group of boxes or fewer,
+    a non-finite input, or a best score of 0, which rules out no row.
+    """
+    ref, means, stds = _candidates(ref, means, stds)
+    everyone = np.arange(means.shape[0])
+    if len(everyone) <= _PRUNE_STOP or not (np.isfinite(means).all() and np.isfinite(stds).all()):
+        return everyone
+    boxes = dominated_boxes(front_values, ref)
+    own = _own(ref, means, stds)
+    if boxes.shape[0] <= _PRUNE_GROUP or not np.isfinite(own).all():
+        return everyone
+    corners = _box_corners(boxes)
+    slack = _PRUNE_SLACK * own
+    bound = own.copy()
+    scored = np.zeros(len(everyone), dtype=bool)
+    best = -np.inf
+    live = everyone
+    order = np.argsort(-np.prod(boxes[:, 1] - boxes[:, 0], axis=1), kind="stable")
+    for start in range(0, len(order), _PRUNE_GROUP):
+        group = _box_corners(boxes[order[start : start + _PRUNE_GROUP]])
+        # A group's boxes have at most twice as many corner values per axis.
+        for rows in _row_chunks(live, 2 * _PRUNE_GROUP):
+            bound[rows] -= _covered(group, means[rows], stds[rows]).sum(axis=1)
+        unscored = live[~scored[live]]
+        top = unscored[np.argsort(-bound[unscored], kind="stable")[:_PRUNE_EXACT]]
+        scored[top] = True
+        best = np.max(_improvements(own[top], corners, means[top], stds[top]), initial=best)
+        if best <= 0:
+            return everyone
+        live = live[bound[live] + slack[live] >= best]
+        if len(live) <= _PRUNE_STOP:
+            break
+    return live

@@ -7,11 +7,13 @@ them passing; a change to the search on purpose replaces them and says so.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hwnas import optimize
 from hwnas.evaluation import PowerTrace, build_evaluator
 from hwnas.optimize import RunConfig, run_random, run_search
 
@@ -50,6 +52,38 @@ def test_search_log_matches_golden(tmp_path, name):
     evaluator, _ = build_evaluator(cfg.evaluator, cfg.macro)
     run_search(cfg, evaluator)
     assert log.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_resumed_large_front_log_matches_golden(tmp_path, monkeypatch):
+    """A 100-record random prefix (n_init = budget), resumed by five model-guided steps.
+
+    Nearly every record is on the front, so each step scores a pool of about
+    1,300 candidates against about 115 boxes, and most of them are ruled out
+    before they are scored.
+    """
+    pools = []
+    contenders = optimize.contenders
+
+    def spy(front, ref, means, stds):
+        rows = contenders(front, ref, means, stds)
+        pools.append((len(rows), len(means)))
+        return rows
+
+    monkeypatch.setattr(optimize, "contenders", spy)
+    log = tmp_path / "b5_resume.jsonl"
+    cfg = RunConfig(
+        seed=0,
+        budget=100,
+        n_init=100,
+        num_blocks=5,
+        evaluator={"type": "synthetic", "profile": "movidius-ncs"},
+        log_path=str(log),
+    )
+    evaluator, _ = build_evaluator(cfg.evaluator, cfg.macro)
+    run_search(cfg, evaluator)
+    run_search(replace(cfg, budget=105), evaluator)
+    assert log.read_bytes() == (DATA / "b5_resume.jsonl").read_bytes()
+    assert len(pools) == 5 and all(kept < pool for kept, pool in pools)
 
 
 # The external trace path: an adapter answers each request with one of a few

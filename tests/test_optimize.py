@@ -18,14 +18,14 @@ from hwnas.optimize import (
     RunConfig,
     SearchState,
     SpaceExhaustedError,
-    _acquisition_batch,
+    _posteriors,
     propose_next,
     reference_point,
     reevaluate_cross_device,
     run_random,
     run_search,
 )
-from hwnas.pareto import pareto_filter
+from hwnas.pareto import hypervolume_improvements, pareto_filter
 from hwnas.records import (
     EvaluationRecord,
     ObjectiveVector,
@@ -156,7 +156,7 @@ class TestReferencePoint:
 
 
 def ehvi_of(models, records, front, candidate, ref=None):
-    """Exact EHVI of one candidate, through the pool scorer with a one-row batch.
+    """Exact EHVI of one candidate, through the pool's posteriors and scorer with a one-row batch.
 
     ``models`` are fit on ``records``, in order.
     """
@@ -165,7 +165,8 @@ def ehvi_of(models, records, front, candidate, ref=None):
     if ref is None:
         ref = reference_point(front_t)
     table = hamming_table(np.array([encode(candidate)]), np.array([encode(r.genome) for r in records]))
-    return float(_acquisition_batch(models, subset, front_t, ref, table)[0])
+    means, stds = _posteriors(models, subset, table)
+    return float(hypervolume_improvements(front_t, ref, means, stds)[0])
 
 
 class TestAcquisition:
@@ -531,9 +532,14 @@ pathlib.Path("response.json").write_text(json.dumps(response))
             # A response the adapter wrote after a measurement is not retried: a launch would repeat it.
             ('response["error"] = 1.5', 1, "ResponseError: malformed response: error must be a fraction"),
             ('pathlib.Path("response.json").write_text("{"); sys.exit(0)', 1, "ResponseError: response.json is not valid JSON"),
+            (
+                'pathlib.Path("trace").mkdir(); response = {"error": 0.25, "trace_path": "trace", "threshold_w": 0.5}',
+                1,
+                "ResponseError: trace file could not be read",
+            ),
             ("sys.exit(1)", 1 + EVALUATOR_RETRIES, "EvaluatorError: adapter exited with 1"),
         ],
-        ids=["invalid-measurement", "invalid-json", "nonzero-exit"],
+        ids=["invalid-measurement", "invalid-json", "trace-is-a-directory", "nonzero-exit"],
     )
     def test_external_failure_attempts(self, tmp_path, fail, attempts, error):
         from test_evaluation import write_adapter

@@ -366,6 +366,121 @@ class TestImprovementChunks:
         assert np.array_equal(self.improvements(front, ref, means, stds, 1), one_chunk)
 
 
+def candidate_pool(seed, d, n, m, grid, zero_share, duplicates):
+    """(front, ref, means, stds) with ``duplicates`` rows copied over others.
+
+    ``grid`` puts the front and the means on integers, so scores tie.
+    """
+    rng = np.random.default_rng(seed)
+    if grid:
+        front = rng.integers(0, 5, size=(n, d)).astype(float)
+        ref = np.full(d, 4.0)
+        means = rng.integers(0, 6, size=(m, d)).astype(float)
+        stds = rng.choice([0.0, 0.5, 1.0], size=(m, d))
+    else:
+        front = curved_front(rng, n, d)
+        ref = np.full(d, 1.1)
+        means = rng.uniform(0.0, 1.2, size=(m, d))
+        stds = rng.uniform(0.0, 0.3, size=(m, d))
+    stds[rng.random((m, d)) < zero_share] = 0.0
+    source, target = rng.integers(0, m, size=(2, duplicates))
+    means[target] = means[source]
+    stds[target] = stds[source]
+    return front, ref, means, stds
+
+
+class TestContenders:
+    """The pruning pass keeps every row that can win, and scoring them alone keeps their bits."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 3),
+        n=st.integers(0, 40),
+        m=st.integers(1, 60),
+        grid=st.booleans(),
+        zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+        duplicates=st.integers(0, 10),
+        group=st.integers(1, 3),
+        exact=st.integers(1, 2),
+        stop=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_first_argmax_and_bits_kept(self, d, n, m, grid, zero_share, duplicates, group, exact, stop, seed):
+        front, ref, means, stds = candidate_pool(seed, d, n, m, grid, zero_share, duplicates)
+        full = hypervolume_improvements(front, ref, means, stds)
+        with mock.patch.multiple(pareto, _PRUNE_GROUP=group, _PRUNE_EXACT=exact, _PRUNE_STOP=stop):
+            rows = pareto.contenders(front, ref, means, stds)
+        assert np.all(np.diff(rows) > 0) and rows[0] >= 0 and rows[-1] < m
+        assert set(np.flatnonzero(full == full.max())) <= set(rows.tolist())
+        scores = hypervolume_improvements(front, ref, means[rows], stds[rows])
+        assert np.array_equal(scores.view(np.int64), full[rows].view(np.int64))
+        assert rows[np.argmax(scores)] == np.argmax(full)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 3),
+        n=st.integers(1, 40),
+        m=st.integers(1, 30),
+        grid=st.booleans(),
+        zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_partial_sum_bounds_the_score(self, d, n, m, grid, zero_share, seed, data):
+        front, ref, means, stds = candidate_pool(seed, d, n, m, grid, zero_share, 0)
+        boxes = dominated_boxes(front, ref)
+        picked = data.draw(st.lists(st.booleans(), min_size=len(boxes), max_size=len(boxes)))
+        subset = boxes[np.array(picked, dtype=bool)] if len(boxes) else boxes
+        own = pareto._own(ref, means, stds)
+        partial = pareto._covered(pareto._box_corners(subset), means, stds).sum(axis=1) if len(subset) else 0.0
+        full = hypervolume_improvements(front, ref, means, stds)
+        assert np.all(own - partial >= full - pareto._PRUNE_SLACK * own)
+
+    def test_keeps_every_row_where_it_cannot_prune(self):
+        rng = np.random.default_rng(3)
+        front = curved_front(rng, 40, 3)
+        ref = np.full(3, 1.1)
+        means = rng.uniform(0.0, 1.2, size=(200, 3))
+        stds = rng.uniform(0.0, 0.3, size=(200, 3))
+        everyone = np.arange(200)
+        assert len(pareto.contenders(front, ref, means, stds)) < 200
+        # Few rows, one group of boxes, a non-finite input, every score 0.
+        assert np.array_equal(pareto.contenders(front, ref, means[:32], stds[:32]), np.arange(32))
+        assert np.array_equal(pareto.contenders(front[:1], ref, means, stds), everyone)
+        for bad in (np.nan, np.inf):
+            poisoned = stds.copy()
+            poisoned[7, 1] = bad
+            assert np.array_equal(pareto.contenders(front, ref, means, poisoned), everyone)
+        covered = np.full_like(means, 1.05)
+        assert not hypervolume_improvements(front, ref, covered, np.zeros_like(stds)).any()
+        assert np.array_equal(pareto.contenders(front, ref, covered, np.zeros_like(stds)), everyone)
+
+    def test_prunes_most_of_a_large_front(self):
+        """Pruned scoring stays under 60% of the shortfall work of full scoring (measured: 49%)."""
+        rng = np.random.default_rng(0)
+        front = curved_front(rng, 100, 3)
+        ref = np.full(3, 1.1)
+        # Candidates near the front, as the surrogates place mutants of its members.
+        means = front[rng.integers(0, 100, 1300)] + rng.normal(0.0, 0.05, (1300, 3))
+        stds = rng.uniform(0.02, 0.1, (1300, 3))
+        counted = []
+        shortfall = pareto._expected_shortfall
+
+        def counting(a, mean, std):
+            out = shortfall(a, mean, std)
+            counted.append(out.size)  # one (row, corner) pair per element
+            return out
+
+        with mock.patch.object(pareto, "_expected_shortfall", counting):
+            full = hypervolume_improvements(front, ref, means, stds)
+            whole = sum(counted)
+            counted.clear()
+            rows = pareto.contenders(front, ref, means, stds)
+            scores = hypervolume_improvements(front, ref, means[rows], stds[rows])
+        assert rows[np.argmax(scores)] == np.argmax(full)
+        assert sum(counted) < 0.6 * whole
+
+
 def shortfall_formula(a, mean, std):
     """Reference: E[(a - s)+] for s ~ N(mean, std^2) as one expression, then (a - mean)+ where std is 0."""
     diff = a - mean
