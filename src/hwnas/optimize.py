@@ -55,6 +55,11 @@ Evaluator = Callable[[CellGenome], ObjectiveVector]
 
 POOL_RANDOM = 500
 POOL_MUTATIONS_PER_PARETO = 10
+# Front members mutated per proposal; a larger front gives a uniform draw of this many.
+POOL_PARENTS = 50
+# Bumped by each declared change to what the search proposes.  A log's first
+# record holds it, and resume refuses a log written by another version.
+SEARCH_VERSION = 1
 RANDOM_ATTEMPTS = 200
 EVALUATOR_RETRIES = 3
 
@@ -141,12 +146,15 @@ class SearchState:
     ``history`` only grows; :meth:`history_codes` keeps its encodings as an
     int matrix, encoding each record once.  Warm-up is decided by the caller,
     which passes no models to :func:`propose_next` until it fits them.
+    ``pool_meta`` holds the last model-guided proposal's pool sizes, and is
+    empty after a warm-up proposal or the empty-pool fallback.
     """
 
     history: list[EvaluationRecord]
     objective_subset: tuple[str, ...]
     num_blocks: int
     excluded: set[tuple[int, ...]] = field(default_factory=set)
+    pool_meta: dict[str, int] = field(default_factory=dict)
     _codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -236,13 +244,16 @@ def propose_next(
 
     Warm-up (no models) proposes a random unevaluated genome.  Otherwise
     the candidate pool is 500 random genomes plus 10 single-field mutations
-    of each current Pareto genome, minus everything already evaluated; the
-    acquisition argmax wins, ties broken by lowest encoding.
+    of each of up to 50 Pareto genomes (a uniform draw, in history order,
+    when the front is larger), minus everything already evaluated; the
+    acquisition argmax wins, ties broken by lowest encoding.  The pool's
+    sizes go to ``state.pool_meta``.
 
     ``models`` (one per objective of ``state.objective_subset``) must be fit
     on ``state.history``, in order, as the search loop fits them: the pool is
     scored against the history's codes.
     """
+    state.pool_meta = {}
     if models is None:
         return _random_unevaluated(rng, state.excluded, state.num_blocks)
 
@@ -251,12 +262,20 @@ def propose_next(
     on_front = {id(r) for r in front}
     parents = state.history_codes()[[id(r) in on_front for r in state.history]]
     randoms = random_codes(rng, state.num_blocks, POOL_RANDOM)
+    if len(parents) > POOL_PARENTS:
+        parents = parents[np.sort(rng.choice(len(parents), POOL_PARENTS, replace=False))]
     mutants = mutate(np.repeat(parents, POOL_MUTATIONS_PER_PARETO, axis=0), rng)
     # Sorted lexicographically, as sorting the encoding tuples would.
     pool = unique_codes(np.vstack([randoms, mutants]))
     candidates = pool[[enc not in state.excluded for enc in map(tuple, pool.tolist())]]
     if not len(candidates):
         return _random_unevaluated(rng, state.excluded, state.num_blocks)
+    state.pool_meta = {
+        "front_size": len(front),
+        "pool_parents": len(parents),
+        "pool_unique": len(pool),
+        "pool_candidates": len(candidates),
+    }
 
     ref = reference_point(transform_values(objective_matrix(state.history, subset), subset))
     front_t = transform_values(objective_matrix(front, subset), subset)
@@ -265,13 +284,14 @@ def propose_next(
     front_unique = np.unique(front_t, axis=0) if front_t.shape[0] else front_t
     # Only the rows that can still win are scored; a row's score does not
     # depend on the others, so the first argmax is the whole pool's.
-    rows = contenders(front_unique, ref, means, stds)
-    scores = hypervolume_improvements(front_unique, ref, means[rows], stds[rows])
+    rows, boxes = contenders(front_unique, ref, means, stds)
+    scores = hypervolume_improvements(front_unique, ref, means[rows], stds[rows], boxes=boxes)
     return decode(candidates[rows[int(np.argmax(scores))]], state.num_blocks)
 
 
 def _config_fingerprint(config: RunConfig, source: str) -> dict:
     return {
+        "search": SEARCH_VERSION,
         "seed": config.seed,
         "n_init": config.n_init,
         "objective_subset": list(config.objective_subset),
@@ -291,11 +311,16 @@ def _check_resume(config: RunConfig, records: list[EvaluationRecord], source: st
         if key == "macro" and key not in meta:
             continue  # written before the macro config joined the fingerprint
         have = meta.get(key)
-        if have != want:
+        if have == want:
+            continue
+        if key == "search":
             raise ConfigMismatchError(
-                f"existing log disagrees with config on {key!r}: log has {have!r}, "
-                f"config has {want!r}"
+                f"existing log was written by another version of the search (log has search "
+                f"{have!r}, this program writes {want!r}); start a new log"
             )
+        raise ConfigMismatchError(
+            f"existing log disagrees with config on {key!r}: log has {have!r}, config has {want!r}"
+        )
     # read_log has checked that every genome has the first one's block count.
     blocks = records[0].genome.num_blocks
     if blocks != config.num_blocks:
@@ -434,6 +459,7 @@ def _run(
                 continue
 
             meta = _config_fingerprint(config, source) if iteration == 0 else {}
+            meta.update(state.pool_meta)
             record = EvaluationRecord(
                 genome=genome,
                 objectives=objectives,

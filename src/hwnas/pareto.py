@@ -232,6 +232,8 @@ def hypervolume_improvements(
     ref: np.ndarray,
     means: np.ndarray,
     stds: np.ndarray | None = None,
+    *,
+    boxes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Expected hypervolume gain of adding s to a fixed front, per candidate row.
 
@@ -242,10 +244,13 @@ def hypervolume_improvements(
     as (u - max(l, s))+ = (u - s)+ - (l - s)+ (Yang, Emmerich, Deutz & Baeck 2019).
     Box corners take few distinct values per axis, so h_j is evaluated there
     and gathered.  A row's score does not depend on the other rows.
+    ``boxes``, when given, must be ``dominated_boxes(front_values, ref)``, as
+    ``contenders`` returns them; they are then not built again.
     """
     ref, means, stds = _candidates(ref, means, stds)
     own = _own(ref, means, stds)
-    boxes = dominated_boxes(front_values, ref)
+    if boxes is None:
+        boxes = dominated_boxes(front_values, ref)
     if not boxes.shape[0]:
         return own
     return _improvements(own, _box_corners(boxes), means, stds)
@@ -256,8 +261,12 @@ def contenders(
     ref: np.ndarray,
     means: np.ndarray,
     stds: np.ndarray | None = None,
-) -> np.ndarray:
-    """Ascending rows of ``means`` that may hold the largest hypervolume improvement.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending rows of ``means`` that may hold the largest hypervolume improvement, and the boxes.
+
+    The boxes are ``dominated_boxes(front_values, ref)``, returned so that
+    scoring the rows with ``hypervolume_improvements(..., boxes=boxes)``
+    builds them once.
 
     Every box term is non-negative, so ``own`` minus a row's covered sum over
     some of the boxes bounds its score from above.  The boxes are walked in
@@ -276,12 +285,12 @@ def contenders(
     """
     ref, means, stds = _candidates(ref, means, stds)
     everyone = np.arange(means.shape[0])
-    if len(everyone) <= _PRUNE_STOP or not (np.isfinite(means).all() and np.isfinite(stds).all()):
-        return everyone
     boxes = dominated_boxes(front_values, ref)
+    if len(everyone) <= _PRUNE_STOP or not (np.isfinite(means).all() and np.isfinite(stds).all()):
+        return everyone, boxes
     own = _own(ref, means, stds)
     if boxes.shape[0] <= _PRUNE_GROUP or not np.isfinite(own).all():
-        return everyone
+        return everyone, boxes
     corners = _box_corners(boxes)
     slack = _PRUNE_SLACK * own
     bound = own.copy()
@@ -299,8 +308,8 @@ def contenders(
         scored[top] = True
         best = np.max(_improvements(own[top], corners, means[top], stds[top]), initial=best)
         if best <= 0:
-            return everyone
+            return everyone, boxes
         live = live[bound[live] + slack[live] >= best]
         if len(live) <= _PRUNE_STOP:
             break
-    return live
+    return live, boxes

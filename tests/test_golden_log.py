@@ -3,7 +3,8 @@
 The logs under ``tests/data`` were written by the search with closed-form
 EHVI as its acquisition, and read the same with one BLAS thread and with the
 default thread count.  A change that claims to preserve behaviour must keep
-them passing; a change to the search on purpose replaces them and says so.
+them passing; a change to the search on purpose replaces them, bumps
+``optimize.SEARCH_VERSION`` and says so.
 """
 
 import json
@@ -57,17 +58,17 @@ def test_search_log_matches_golden(tmp_path, name):
 def test_resumed_large_front_log_matches_golden(tmp_path, monkeypatch):
     """A 100-record random prefix (n_init = budget), resumed by five model-guided steps.
 
-    Nearly every record is on the front, so each step scores a pool of about
-    1,300 candidates against about 115 boxes, and most of them are ruled out
-    before they are scored.
+    Nearly every record is on the front, so each step mutates 50 of its
+    members and scores a pool of about 900 candidates against about 115
+    boxes, and most of them are ruled out before they are scored.
     """
     pools = []
     contenders = optimize.contenders
 
     def spy(front, ref, means, stds):
-        rows = contenders(front, ref, means, stds)
+        rows, boxes = contenders(front, ref, means, stds)
         pools.append((len(rows), len(means)))
-        return rows
+        return rows, boxes
 
     monkeypatch.setattr(optimize, "contenders", spy)
     log = tmp_path / "b5_resume.jsonl"

@@ -8,16 +8,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hwnas import optimize
 from hwnas.evaluation import build_evaluator, get_profile, synthetic_evaluate
 from hwnas.gp import featurize_batch, fit, hamming_table
 from hwnas.network import MacroConfig
 from hwnas.optimize import (
     EVALUATOR_RETRIES,
+    POOL_MUTATIONS_PER_PARETO,
+    POOL_PARENTS,
+    SEARCH_VERSION,
     ConfigMismatchError,
     LogLockedError,
     RunConfig,
     SearchState,
     SpaceExhaustedError,
+    _fit_models,
     _posteriors,
     propose_next,
     reference_point,
@@ -295,6 +300,100 @@ class TestProposeNext:
         assert a == b
 
 
+def random_history_state(n):
+    """A state of ``n`` random 5-block records (nearly all on the front) and models fit as the loop fits them."""
+    macro = MacroConfig()
+    prof = get_profile("movidius-ncs")
+    rng = np.random.default_rng(n)
+    records = []
+    for i in range(n):
+        g = random_genome(rng, 5)
+        records.append(make_record(tuple(synthetic_evaluate(g, macro, prof).values()), i=i, genome=g))
+    state = SearchState(
+        history=records,
+        objective_subset=normalize_subset(None),
+        num_blocks=5,
+        excluded={encode(r.genome) for r in records},
+    )
+    models = _fit_models(state.history_codes(), records, state.objective_subset, [0, n])
+    return state, models
+
+
+class TestPoolCap:
+    """At most ``POOL_PARENTS`` front members are mutated; a smaller front is mutated whole, with no draw."""
+
+    def test_small_front_draws_nothing(self, monkeypatch):
+        state, models = random_history_state(30)
+        assert len(pareto_filter(state.history)) <= POOL_PARENTS
+        capped_rng = np.random.default_rng(5)
+        capped = propose_next(state, models, capped_rng)
+        capped_meta = state.pool_meta
+        monkeypatch.setattr(optimize, "POOL_PARENTS", 10**9)
+        uncapped_rng = np.random.default_rng(5)
+        assert propose_next(state, models, uncapped_rng) == capped
+        assert capped_rng.bit_generator.state == uncapped_rng.bit_generator.state
+        assert state.pool_meta == capped_meta
+        assert capped_meta["pool_parents"] == capped_meta["front_size"] == len(pareto_filter(state.history))
+
+    def test_large_front_mutates_a_draw_of_distinct_members_in_history_order(self, monkeypatch):
+        state, models = random_history_state(80)
+        front = pareto_filter(state.history)
+        assert len(front) > POOL_PARENTS
+        seen = []
+        mutate = optimize.mutate
+
+        def spy(codes, rng):
+            seen.append(np.array(codes))
+            return mutate(codes, rng)
+
+        monkeypatch.setattr(optimize, "mutate", spy)
+        propose_next(state, models, np.random.default_rng(2))
+        (rows,) = seen
+        assert rows.shape[0] == POOL_PARENTS * POOL_MUTATIONS_PER_PARETO
+        parents = rows[::POOL_MUTATIONS_PER_PARETO]
+        assert np.array_equal(rows, np.repeat(parents, POOL_MUTATIONS_PER_PARETO, axis=0))
+        position = {encode(r.genome): i for i, r in enumerate(state.history)}
+        on_front = {encode(r.genome) for r in front}
+        indices = [position[tuple(p)] for p in parents.tolist()]
+        assert all(tuple(p) in on_front for p in parents.tolist())
+        assert np.all(np.diff(indices) > 0)  # distinct, in history order
+        assert state.pool_meta["front_size"] == len(front)
+        assert state.pool_meta["pool_parents"] == POOL_PARENTS
+
+    def test_pool_meta_on_model_guided_records_only(self, tmp_path):
+        cfg = small_config(tmp_path, budget=12, n_init=4, num_blocks=2)
+        ev, _ = build_evaluator(SYNTH, cfg.macro)
+        run_search(cfg, ev)
+        keys = {"front_size", "pool_parents", "pool_unique", "pool_candidates"}
+        for line in Path(cfg.log_path).read_text().splitlines():
+            entry = json.loads(line)
+            meta = entry["meta"]
+            if entry["iteration"] < cfg.n_init:
+                assert not keys & set(meta)
+                continue
+            assert keys <= set(meta) and all(type(meta[k]) is int for k in keys)
+            assert meta["pool_parents"] == min(meta["front_size"], POOL_PARENTS)
+            assert 0 < meta["pool_candidates"] <= meta["pool_unique"]
+
+    def test_warm_up_proposal_clears_pool_meta(self):
+        state, models = random_history_state(12)
+        propose_next(state, models, np.random.default_rng(0))
+        assert state.pool_meta
+        propose_next(state, None, np.random.default_rng(0))
+        assert state.pool_meta == {}
+
+
+def test_proposal_builds_the_boxes_once(monkeypatch):
+    from hwnas import pareto
+
+    state, models = random_history_state(40)
+    calls = []
+    boxes = pareto.dominated_boxes
+    monkeypatch.setattr(pareto, "dominated_boxes", lambda *a: calls.append(1) or boxes(*a))
+    propose_next(state, models, np.random.default_rng(0))
+    assert len(calls) == 1
+
+
 class TestRunSearch:
     def test_budget_reached_and_log_written(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -366,11 +465,34 @@ class TestRunSearch:
         lines = Path(full_cfg.log_path).read_text().strip().split("\n")
         first = json.loads(lines[0])
         assert first["meta"].pop("macro") == full_cfg.macro.to_json_dict()
+        # Such a line keeps the search version, which is never exempt.
+        assert first["meta"]["search"] == SEARCH_VERSION
         old_first = json.dumps(first, separators=(",", ":"))
         part_path = tmp_path / "part.jsonl"
         part_path.write_text("\n".join([old_first] + lines[1:3]) + "\n")
         run_search(small_config(tmp_path, log_path=str(part_path)), ev)
         assert part_path.read_text().strip().split("\n") == [old_first] + lines[1:]
+
+    @pytest.mark.parametrize("mode", ["search", "random"])
+    @pytest.mark.parametrize("version", [SEARCH_VERSION + 1, SEARCH_VERSION - 1, None])
+    def test_log_of_another_search_version_refused_untouched(self, tmp_path, mode, version):
+        cfg = small_config(tmp_path)
+        ev, _ = build_evaluator(SYNTH, cfg.macro)
+        run = run_search if mode == "search" else run_random
+        run(cfg, ev, budget=3)
+        lines = Path(cfg.log_path).read_text().splitlines()
+        first = json.loads(lines[0])
+        assert first["meta"]["search"] == SEARCH_VERSION
+        if version is None:
+            del first["meta"]["search"]  # written before the key existed
+        else:
+            first["meta"]["search"] = version
+        old = "\n".join([json.dumps(first, separators=(",", ":"))] + lines[1:]) + "\n"
+        Path(cfg.log_path).write_text(old)
+        with pytest.raises(ConfigMismatchError, match="another version of the search.*new log"):
+            run(cfg, ev)
+        assert Path(cfg.log_path).read_text() == old
+        assert not Path(cfg.log_path + ".lock").exists()
 
     def test_no_duplicate_genomes(self, tmp_path):
         cfg = small_config(tmp_path, budget=40, n_init=5)

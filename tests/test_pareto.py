@@ -409,11 +409,15 @@ class TestContenders:
         front, ref, means, stds = candidate_pool(seed, d, n, m, grid, zero_share, duplicates)
         full = hypervolume_improvements(front, ref, means, stds)
         with mock.patch.multiple(pareto, _PRUNE_GROUP=group, _PRUNE_EXACT=exact, _PRUNE_STOP=stop):
-            rows = pareto.contenders(front, ref, means, stds)
+            rows, boxes = pareto.contenders(front, ref, means, stds)
         assert np.all(np.diff(rows) > 0) and rows[0] >= 0 and rows[-1] < m
         assert set(np.flatnonzero(full == full.max())) <= set(rows.tolist())
+        assert np.array_equal(boxes, dominated_boxes(front, ref))
         scores = hypervolume_improvements(front, ref, means[rows], stds[rows])
         assert np.array_equal(scores.view(np.int64), full[rows].view(np.int64))
+        # The handed-on boxes give the same bits as boxes built afresh.
+        handed = hypervolume_improvements(front, ref, means[rows], stds[rows], boxes=boxes)
+        assert np.array_equal(handed.view(np.int64), scores.view(np.int64))
         assert rows[np.argmax(scores)] == np.argmax(full)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -443,17 +447,24 @@ class TestContenders:
         means = rng.uniform(0.0, 1.2, size=(200, 3))
         stds = rng.uniform(0.0, 0.3, size=(200, 3))
         everyone = np.arange(200)
-        assert len(pareto.contenders(front, ref, means, stds)) < 200
+
+        def kept(front, means, stds):
+            rows, boxes = pareto.contenders(front, ref, means, stds)
+            # The boxes come back on every path, pruned or not.
+            assert np.array_equal(boxes, dominated_boxes(front, ref))
+            return rows
+
+        assert len(kept(front, means, stds)) < 200
         # Few rows, one group of boxes, a non-finite input, every score 0.
-        assert np.array_equal(pareto.contenders(front, ref, means[:32], stds[:32]), np.arange(32))
-        assert np.array_equal(pareto.contenders(front[:1], ref, means, stds), everyone)
+        assert np.array_equal(kept(front, means[:32], stds[:32]), np.arange(32))
+        assert np.array_equal(kept(front[:1], means, stds), everyone)
         for bad in (np.nan, np.inf):
             poisoned = stds.copy()
             poisoned[7, 1] = bad
-            assert np.array_equal(pareto.contenders(front, ref, means, poisoned), everyone)
+            assert np.array_equal(kept(front, means, poisoned), everyone)
         covered = np.full_like(means, 1.05)
         assert not hypervolume_improvements(front, ref, covered, np.zeros_like(stds)).any()
-        assert np.array_equal(pareto.contenders(front, ref, covered, np.zeros_like(stds)), everyone)
+        assert np.array_equal(kept(front, covered, np.zeros_like(stds)), everyone)
 
     def test_prunes_most_of_a_large_front(self):
         """Pruned scoring stays under 60% of the shortfall work of full scoring (measured: 49%)."""
@@ -475,8 +486,8 @@ class TestContenders:
             full = hypervolume_improvements(front, ref, means, stds)
             whole = sum(counted)
             counted.clear()
-            rows = pareto.contenders(front, ref, means, stds)
-            scores = hypervolume_improvements(front, ref, means[rows], stds[rows])
+            rows, boxes = pareto.contenders(front, ref, means, stds)
+            scores = hypervolume_improvements(front, ref, means[rows], stds[rows], boxes=boxes)
         assert rows[np.argmax(scores)] == np.argmax(full)
         assert sum(counted) < 0.6 * whole
 
