@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import MacroConfig, build_network
+# perfbench/tracing.py rebinds evaluation.build_network, so the name stays importable here.
+from .network import MacroConfig, build_network, network_costs  # noqa: F401
 from .records import ObjectiveVector
 from .search_space import CellGenome, encode
 
@@ -264,16 +265,18 @@ def synthetic_evaluate(
     seed: int = 0,
     noise: float = 0.0,
 ) -> ObjectiveVector:
-    """Deterministic desk-scale objectives derived from graph cost counts.
+    """Deterministic desk-scale objectives derived from the network's parameter and MAC counts.
 
-    A pure function of its arguments; a positive ``noise`` perturbs the error
-    by up to ±noise, seeded from ``seed`` and the genome so repeated calls agree.
+    The counts come from :func:`network_costs`, which equals the totals of
+    :func:`build_network`'s graph without building it.  A pure function of its
+    arguments; a positive ``noise`` perturbs the error by up to ±noise, seeded
+    from ``seed`` and the genome so repeated calls agree.
     """
-    net = build_network(genome, macro)
-    time_s = net.total_flops / profile.throughput_macs
-    energy_j = time_s * profile.active_power_w + net.total_params * profile.mem_energy_per_param_j
+    params, macs = network_costs(genome, macro)
+    time_s = macs / profile.throughput_macs
+    energy_j = time_s * profile.active_power_w + params * profile.mem_energy_per_param_j
     error = profile.error_floor + (profile.error_ceiling - profile.error_floor) * float(
-        np.exp(-net.total_params / profile.error_scale_params)
+        np.exp(-params / profile.error_scale_params)
     )
     if noise > 0:
         rng = np.random.default_rng([int(seed)] + [v + 1 for v in encode(genome)])

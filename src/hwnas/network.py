@@ -1,10 +1,13 @@
-"""Expand a cell genome into a concrete layer DAG with shapes, parameter and MAC counts.
+"""Parameter and MAC counts of the network a cell genome stacks into, and its layer DAG.
 
 The macro skeleton stacks the searched cell: ``num_reduction_cells + 1``
 stages of ``N`` stride-1 cells separated by stride-2 cells, then global
 average pooling and a linear classifier.  Filter count starts at ``F`` and
-doubles immediately after each stride-2 cell.  No weights are materialized;
-the graph exists for cost accounting and export.
+doubles immediately after each stride-2 cell.  No weights are materialized.
+:func:`network_costs` counts the totals per cell, and the evaluator uses it;
+:func:`build_network` expands the same network into a graph with shapes and
+per-node counts, for inspection, and its totals are the reference the count
+is tested against.
 """
 
 from __future__ import annotations
@@ -309,3 +312,58 @@ def build_network(genome: CellGenome, macro: MacroConfig) -> NetworkGraph:
     pooled = b.add(KIND_GLOBAL_POOL, (prev,), TensorShape(1, 1, final.channels))
     logits = b.add(KIND_CLASSIFIER, (pooled,), TensorShape(1, 1, macro.num_classes))
     return b.finish(logits)
+
+
+def network_costs(genome: CellGenome, macro: MacroConfig) -> tuple[int, int]:
+    """``(total_params, total_flops)`` of ``build_network(genome, macro)``, without the graph.
+
+    The genome's ops are summed once, so each cell of the macro plan costs
+    O(1): with F working filters, a cell's ops weigh ``square*F^2 +
+    linear*F`` (conv k: k^2 F^2; sep k: k^2 F + F^2), and every weighted
+    node, the 1x1 projections included, costs its weights times H'W' MACs.
+    Max pooling adds k^2 H'W'F and each block's add H'W'F.
+    """
+    violations = validate_genome(genome)
+    if violations:
+        raise GenomeError("; ".join(violations))
+    square = linear = per_element = 0
+    external: set[int] = set()
+    consumed: set[int] = set()
+    for blk in genome.blocks:
+        per_element += 1  # the block's add
+        for ref, op in ((blk.input1, blk.op1), (blk.input2, blk.op2)):
+            if ref < 2:
+                external.add(ref)
+            else:
+                consumed.add(ref - 2)
+            k2 = op.kernel_size**2
+            family = op.family
+            if family == "conv":
+                square += k2
+            elif family == "sep":
+                square += 1
+                linear += k2
+            elif family == "max":
+                per_element += k2
+    concat_width = genome.num_blocks - len(consumed)
+
+    shape = macro.input_shape
+    prev = prev_prev = (shape.height, shape.width, shape.channels)
+    strides = ([1] * macro.N + [2]) * macro.num_reduction_cells + [1] * macro.N
+    filters = macro.F
+    params = flops = 0
+    for stride in strides:
+        target = (prev[0] // stride, prev[1] // stride, filters)
+        area = target[0] * target[1]
+        weights = square * filters * filters + linear * filters
+        for ref in external:
+            source = prev if ref == 0 else prev_prev
+            if source != target:
+                weights += source[2] * filters
+        params += weights
+        flops += (weights + per_element * filters) * area
+        prev_prev, prev = prev, (target[0], target[1], filters * concat_width)
+        if stride == 2:
+            filters *= 2
+    classifier = prev[2] * macro.num_classes
+    return params + classifier, flops + classifier

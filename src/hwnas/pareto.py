@@ -50,15 +50,19 @@ def non_dominated_mask(values: np.ndarray) -> np.ndarray:
 
     Rows are visited in lexicographic order.  A row sorts strictly before
     every row it dominates, so each visited survivor is on the front and only
-    has to prune the rows after it; the loop body runs once per front row.
+    has to prune the rows after it.  A survivor equal to the row before it
+    would prune exactly what that row pruned, so it is skipped; the loop body
+    runs once per distinct front row.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     order = np.lexsort(values.T[::-1]) if values.shape[1] else np.arange(n)
     ordered = values[order]
+    repeats = np.zeros(n, dtype=bool)
+    repeats[1:] = np.all(ordered[1:] == ordered[:-1], axis=1)
     alive = np.ones(n, dtype=bool)
     for i in range(n):
-        if not alive[i]:
+        if not alive[i] or repeats[i]:
             continue
         rest = ordered[i + 1 :]
         row = ordered[i]

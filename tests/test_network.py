@@ -16,8 +16,9 @@ from hwnas.network import (
     build_network,
     count_flops,
     count_params,
+    network_costs,
 )
-from hwnas.search_space import random_genome
+from hwnas.search_space import GenomeError, enumerate_genomes, random_genome
 
 from test_search_space import all_identity_genome, genome_from_rows
 
@@ -189,3 +190,53 @@ class TestBuildNetwork:
         pool = [n for n in net.nodes if n.kind == KIND_GLOBAL_POOL][0]
         assert pool.out_shape.spatial() == (1, 1)
         assert pool.params == 0
+
+
+class TestNetworkCosts:
+    MACROS = [
+        MacroConfig(),
+        MacroConfig(N=1, F=8),
+        MacroConfig(N=3, F=5, num_reduction_cells=1),
+        MacroConfig(N=1, F=1, num_reduction_cells=0),
+    ]
+    MACRO_ID = staticmethod(lambda m: f"N{m.N}-F{m.F}-R{m.num_reduction_cells}")
+
+    @staticmethod
+    def assert_graph_totals(genome, macro):
+        net = build_network(genome, macro)
+        assert network_costs(genome, macro) == (net.total_params, net.total_flops)
+
+    @pytest.mark.parametrize("macro", MACROS, ids=MACRO_ID)
+    def test_whole_one_block_space(self, macro):
+        for g in enumerate_genomes(1):
+            self.assert_graph_totals(g, macro)
+
+    @pytest.mark.parametrize("num_blocks", [2, 3, 5])
+    @pytest.mark.parametrize("macro", MACROS, ids=MACRO_ID)
+    def test_random_genomes(self, macro, num_blocks):
+        rng = np.random.default_rng(num_blocks)
+        for _ in range(300):
+            self.assert_graph_totals(random_genome(rng, num_blocks), macro)
+
+    def test_counts_are_exact_ints(self):
+        g = random_genome(np.random.default_rng(0))
+        assert all(type(v) is int for v in network_costs(g, MacroConfig()))
+
+    def test_projected_inputs_and_classifier(self):
+        # Both inputs feed identities, so only the 1x1 projections and the
+        # classifier hold weights.  One cell, F=4, on a 2x2x3 input: two
+        # projections of 3*4 weights each, then 5 blocks concatenated into
+        # 20 channels for 10 classes.  MACs add 5 adds of 2*2*4 elements.
+        g = all_identity_genome()
+        macro = MacroConfig(N=1, F=4, num_reduction_cells=0, input_shape=TensorShape(2, 2, 3))
+        params, macs = network_costs(g, macro)
+        assert params == 2 * 3 * 4 + 20 * 10
+        assert macs == 2 * 3 * 4 * 4 + 5 * 4 * 4 + 20 * 10
+
+    def test_invalid_genome_raises_the_build_error_text(self):
+        g = genome_from_rows([[2, 0, 1, 1]] + [[0, 1, 1, 1]] * 4)
+        with pytest.raises(GenomeError) as built:
+            build_network(g, MacroConfig())
+        with pytest.raises(GenomeError) as counted:
+            network_costs(g, MacroConfig())
+        assert str(counted.value) == str(built.value)

@@ -145,6 +145,28 @@ class TestParetoFilter:
             V = grid.integers(0, 4, size=(int(grid.integers(0, 40)), int(grid.integers(0, 4))))
             assert np.array_equal(non_dominated_mask(V), brute_force_front(V))
 
+    def test_copies_of_a_front_row_prune_once(self, monkeypatch):
+        # 2,000 copies of each of three front rows, then three rows they
+        # dominate.  Only the first copy of each distinct row runs a pruning
+        # pass (one np.any call); a pass per copy makes the filter quadratic
+        # in the copies, as on the duplicate-heavy fronts of `hwnas enumerate`.
+        class CountingNumpy:
+            calls = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def any(self, *args, **kwargs):
+                CountingNumpy.calls += 1
+                return np.any(*args, **kwargs)
+
+        front = np.array([[0.0, 3.0], [1.0, 1.0], [3.0, 0.0]])
+        V = np.concatenate([np.repeat(front, 2000, axis=0), front + 1])
+        monkeypatch.setattr(pareto, "np", CountingNumpy())
+        mask = non_dominated_mask(V)
+        assert CountingNumpy.calls == 3
+        assert mask.tolist() == [True] * 6000 + [False] * 3
+
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         recs = make_records(rng.random((100, 3)))
