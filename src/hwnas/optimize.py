@@ -41,6 +41,7 @@ from .search_space import (
     ENUMERATION_CAP,
     FIELDS_PER_BLOCK,
     CellGenome,
+    codes_in,
     decode,
     encode,
     enumerate_genomes,
@@ -144,7 +145,8 @@ class SearchState:
     """Mutable loop state shared with the proposal step.
 
     ``history`` only grows; :meth:`history_codes` keeps its encodings as an
-    int matrix, encoding each record once.  Warm-up is decided by the caller,
+    int matrix and :meth:`history_objectives` its objectives in model space,
+    each record converted once.  Warm-up is decided by the caller,
     which passes no models to :func:`propose_next` until it fits them.
     ``pool_meta`` holds the last model-guided proposal's pool sizes, and is
     empty after a warm-up proposal or the empty-pool fallback.
@@ -156,9 +158,11 @@ class SearchState:
     excluded: set[tuple[int, ...]] = field(default_factory=set)
     pool_meta: dict[str, int] = field(default_factory=dict)
     _codes: np.ndarray = field(init=False, repr=False, compare=False)
+    _objectives: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._codes = np.empty((0, FIELDS_PER_BLOCK * self.num_blocks), dtype=np.int64)
+        self._objectives = np.empty((0, len(self.objective_subset)))
 
     def history_codes(self) -> np.ndarray:
         """(len(history), 4 nb) matrix of the history's encoded genomes, in history order."""
@@ -166,6 +170,15 @@ class SearchState:
         if new:
             self._codes = np.vstack([self._codes, [encode(r.genome) for r in new]])
         return self._codes
+
+    def history_objectives(self) -> np.ndarray:
+        """(len(history), len(subset)) matrix of the history's transformed objectives, in history order."""
+        new = self.history[len(self._objectives) :]
+        if new:
+            subset = self.objective_subset
+            rows = transform_values(objective_matrix(new, subset), subset)
+            self._objectives = np.vstack([self._objectives, rows])
+        return self._objectives
 
 
 def reference_point(history_values_t: np.ndarray) -> np.ndarray:
@@ -179,20 +192,16 @@ def reference_point(history_values_t: np.ndarray) -> np.ndarray:
     return worst + 0.1 * np.maximum(np.abs(worst), 1e-6)
 
 
-def _fit_models(
-    codes: np.ndarray,
-    history: list[EvaluationRecord],
-    subset: tuple[str, ...],
-    seed_key: list[int],
-) -> dict[str, gp.GPModel]:
-    """One GP per objective on the history, whose encoded genomes are ``codes``."""
+def _fit_models(state: SearchState, seed_key: list[int]) -> dict[str, gp.GPModel]:
+    """One GP per objective of ``state.objective_subset`` on the state's history."""
+    codes = state.history_codes()
+    transformed = state.history_objectives()
     X = gp.featurize_codes(codes)
-    transformed = transform_values(objective_matrix(history, subset), subset)
     # Every objective is fit on the same rows, so their distance table is shared.
     table = gp.hamming_table(codes, codes)
     return {
         name: gp.fit(X, transformed[:, j], seed=seed_key + [j], table=table)
-        for j, name in enumerate(subset)
+        for j, name in enumerate(state.objective_subset)
     }
 
 
@@ -260,14 +269,15 @@ def propose_next(
     subset = state.objective_subset
     front = pareto_filter(state.history, subset)
     on_front = {id(r) for r in front}
-    parents = state.history_codes()[[id(r) in on_front for r in state.history]]
+    front_mask = [id(r) in on_front for r in state.history]
+    parents = state.history_codes()[front_mask]
     randoms = random_codes(rng, state.num_blocks, POOL_RANDOM)
     if len(parents) > POOL_PARENTS:
         parents = parents[np.sort(rng.choice(len(parents), POOL_PARENTS, replace=False))]
     mutants = mutate(np.repeat(parents, POOL_MUTATIONS_PER_PARETO, axis=0), rng)
     # Sorted lexicographically, as sorting the encoding tuples would.
     pool = unique_codes(np.vstack([randoms, mutants]))
-    candidates = pool[[enc not in state.excluded for enc in map(tuple, pool.tolist())]]
+    candidates = pool[~codes_in(pool, state.excluded)]
     if not len(candidates):
         return _random_unevaluated(rng, state.excluded, state.num_blocks)
     state.pool_meta = {
@@ -277,8 +287,9 @@ def propose_next(
         "pool_candidates": len(candidates),
     }
 
-    ref = reference_point(transform_values(objective_matrix(state.history, subset), subset))
-    front_t = transform_values(objective_matrix(front, subset), subset)
+    history_t = state.history_objectives()
+    ref = reference_point(history_t)
+    front_t = history_t[front_mask]
     means, stds = _posteriors(models, subset, gp.hamming_table(candidates, state.history_codes()))
     # Duplicate objective rows add nothing to the union of boxes; dedupe for speed.
     front_unique = np.unique(front_t, axis=0) if front_t.shape[0] else front_t
@@ -407,12 +418,12 @@ def _run(
             mended = mend_torn_tail(config.log_path)
             if mended:
                 print(f"warning: {mended}", file=sys.stderr)
-            records, failures = split_log_entries(read_log(config.log_path))
+            parsed: list = []
+            records, failures = split_log_entries(read_log(config.log_path, parsed), parsed)
             _check_resume(config, records, source)
             history = records
-            excluded = {encode(r.genome) for r in records}
-            for f in failures:
-                excluded.add(encode(CellGenome.from_json_dict(f["genome"])))
+            # A failure event parses to the genome that failed.
+            excluded = {encode(g.genome if isinstance(g, EvaluationRecord) else g) for g in parsed}
 
         state = SearchState(
             history=history,
@@ -428,9 +439,7 @@ def _run(
             models = None
             # A GP needs two observations, so n_init = 1 still starts with two randoms.
             if source == SOURCE_BO and iteration >= max(config.n_init, 2):
-                models = _fit_models(
-                    state.history_codes(), state.history, subset, [config.seed, iteration]
-                )
+                models = _fit_models(state, [config.seed, iteration])
             if source == SOURCE_RANDOM:
                 genome = _random_unevaluated(rng, state.excluded, config.num_blocks)
             else:

@@ -1,8 +1,10 @@
 """Pareto dominance, non-dominated filtering, and exact hypervolume (1-3 objectives).
 
-All objectives are minimized.  The region a point set dominates w.r.t. a
-reference point ``ref`` is the union of boxes [p, ref].  One z-sweep splits
-it into disjoint boxes; the hypervolume is the sum of their volumes, and the
+All objectives are minimized.  The non-dominated rows are found in one
+lexicographic sweep over a (y, z) staircase, O(n log n) for up to three
+objectives.  The region a point set dominates w.r.t. a reference point
+``ref`` is the union of boxes [p, ref].  One z-sweep splits it into
+disjoint boxes; the hypervolume is the sum of their volumes, and the
 closed-form expected hypervolume improvement is a vectorized sum over them.
 
 A search needs only the candidate with the largest improvement.  Each box
@@ -17,7 +19,7 @@ whole pool: the first argmax, ties included, cannot change.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 from scipy.special import ndtr
@@ -48,25 +50,40 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector, subset=None) -> bool:
 def non_dominated_mask(values: np.ndarray) -> np.ndarray:
     """Boolean mask of rows not dominated by any other row (duplicates all kept).
 
-    Rows are visited in lexicographic order.  A row sorts strictly before
-    every row it dominates, so each visited survivor is on the front and only
-    has to prune the rows after it.  A survivor equal to the row before it
-    would prune exactly what that row pruned, so it is skipped; the loop body
-    runs once per distinct front row.
+    Rows are padded to three columns with zeros and visited in lexicographic
+    order, so a row's dominators all come before it.  A staircase keeps the
+    minimal (y, z) pairs of the rows seen so far, y ascending and z strictly
+    descending; a row is dominated iff the stair with the largest y <= its y
+    has z <= its z.  A surviving row enters the staircase and removes the
+    contiguous run of stairs it covers.  A row equal to the one before it
+    takes that row's verdict.  O(n log n) with one sort and one sweep (Kung,
+    Luccio & Preparata 1975).  Supports 0-3 columns; infinities are ordinary
+    values, a NaN is an error.
     """
     values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    order = np.lexsort(values.T[::-1]) if values.shape[1] else np.arange(n)
-    ordered = values[order]
-    repeats = np.zeros(n, dtype=bool)
-    repeats[1:] = np.all(ordered[1:] == ordered[:-1], axis=1)
-    alive = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not alive[i] or repeats[i]:
-            continue
-        rest = ordered[i + 1 :]
-        row = ordered[i]
-        alive[i + 1 :] &= np.any(rest < row, axis=1) | np.all(rest == row, axis=1)
+    n, d = values.shape
+    if d > 3:
+        raise ValueError(f"non-dominated filtering supports 0-3 objectives, got {d}")
+    if np.isnan(values).any():
+        raise ValueError("objective values must not be NaN")
+    pts = np.hstack([values, np.zeros((n, 3 - d))])
+    order = np.lexsort(pts.T[::-1])
+    ys: list[float] = []
+    zs: list[float] = []
+    alive: list[bool] = []
+    prev = None
+    for row in pts[order].tolist():
+        if row != prev:
+            prev = row
+            _, y, z = row
+            i = bisect_right(ys, y)
+            kept = not (i and zs[i - 1] <= z)
+            if kept:
+                lo = hi = bisect_left(ys, y, 0, i)
+                while hi < len(zs) and zs[hi] >= z:
+                    hi += 1
+                ys[lo:hi], zs[lo:hi] = [y], [z]
+        alive.append(kept)
     keep = np.empty(n, dtype=bool)
     keep[order] = alive
     return keep

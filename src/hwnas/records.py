@@ -212,13 +212,14 @@ def _parse_entry(entry) -> EvaluationRecord | CellGenome:
         raise LogError(f"unreadable entry: {type(exc).__name__}: {exc}") from exc
 
 
-def read_log(path: str | Path) -> list[dict]:
+def read_log(path: str | Path, parsed: list | None = None) -> list[dict]:
     """Parse a JSONL run log into raw dicts (records and failure events alike).
 
     Every line is checked with :func:`_parse_entry`, so a malformed one is
     reported as a :class:`LogError` naming the path and line.  One run
     searches one space, so a genome whose block count differs from the
-    first entry's is refused the same way.
+    first entry's is refused the same way.  When ``parsed`` is a list, each
+    entry's parse is appended to it, for :func:`split_log_entries`.
     """
     entries: list[dict] = []
     first: tuple[int, int] | None = None  # (line, block count) of the first entry
@@ -232,10 +233,11 @@ def read_log(path: str | Path) -> list[dict]:
             except json.JSONDecodeError as exc:
                 raise LogError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
-                parsed = _parse_entry(entry)
+                parsed_entry = _parse_entry(entry)
             except LogError as exc:
                 raise LogError(f"{path}:{lineno}: {exc}") from exc
-            blocks = (parsed.genome if isinstance(parsed, EvaluationRecord) else parsed).num_blocks
+            genome = parsed_entry.genome if isinstance(parsed_entry, EvaluationRecord) else parsed_entry
+            blocks = genome.num_blocks
             if first is None:
                 first = (lineno, blocks)
             elif blocks != first[1]:
@@ -244,17 +246,26 @@ def read_log(path: str | Path) -> list[dict]:
                     f"line {first[0]}'s has {first[1]}"
                 )
             entries.append(entry)
+            if parsed is not None:
+                parsed.append(parsed_entry)
     return entries
 
 
-def split_log_entries(entries: list[dict]) -> tuple[list[EvaluationRecord], list[dict]]:
-    """Separate successful evaluation records from failure events (see :func:`_parse_entry`)."""
+def split_log_entries(
+    entries: list[dict], parsed: list | None = None
+) -> tuple[list[EvaluationRecord], list[dict]]:
+    """Separate successful evaluation records from failure events (see :func:`_parse_entry`).
+
+    ``parsed``, the list that ``read_log(path, parsed)`` filled, saves
+    parsing the entries again.
+    """
     records: list[EvaluationRecord] = []
     failures: list[dict] = []
-    for entry in entries:
-        parsed = _parse_entry(entry)
-        if isinstance(parsed, EvaluationRecord):
-            records.append(parsed)
+    if parsed is None:
+        parsed = [_parse_entry(entry) for entry in entries]
+    for entry, parsed_entry in zip(entries, parsed, strict=True):
+        if isinstance(parsed_entry, EvaluationRecord):
+            records.append(parsed_entry)
         else:
             failures.append(entry)
     for expected, rec in enumerate(records):
@@ -266,5 +277,6 @@ def split_log_entries(entries: list[dict]) -> tuple[list[EvaluationRecord], list
 
 
 def load_records(path: str | Path) -> list[EvaluationRecord]:
-    records, _ = split_log_entries(read_log(path))
+    parsed: list = []
+    records, _ = split_log_entries(read_log(path, parsed), parsed)
     return records

@@ -121,11 +121,14 @@ class CellGenome:
         return decode([v for row in rows for v in row], len(rows))
 
 
+# Operations by code; indexing this is several times faster than ``Operation(code)``.
+_OPERATIONS = tuple(sorted(Operation))
+
+
 def _operation(code: int) -> Operation:
-    try:
-        return Operation(code)
-    except ValueError as exc:
-        raise GenomeError(f"operation code {code} outside 0..{NUM_OPERATIONS - 1}") from exc
+    if 0 <= code < NUM_OPERATIONS:
+        return _OPERATIONS[code]
+    raise GenomeError(f"operation code {code} outside 0..{NUM_OPERATIONS - 1}")
 
 
 def validate_genome(genome: CellGenome) -> list[str]:
@@ -136,6 +139,10 @@ def validate_genome(genome: CellGenome) -> list[str]:
         return violations
     for b, blk in enumerate(genome.blocks):
         bound = input_bound(b)
+        # A valid block, the usual case, passes without building any message.
+        if 0 <= blk.input1 < bound and 0 <= blk.input2 < bound:
+            if 0 <= int(blk.op1) < NUM_OPERATIONS and 0 <= int(blk.op2) < NUM_OPERATIONS:
+                continue
         for name, ref in (("input1", blk.input1), ("input2", blk.input2)):
             if not 0 <= ref < bound:
                 violations.append(f"block {b}: {name} index {ref} outside 0..{bound - 1}")
@@ -199,13 +206,18 @@ def decode(vector: Iterable[int], num_blocks: int | None = None) -> CellGenome:
         raise GenomeError(
             f"encoded genome length {len(vec)} does not match {num_blocks} blocks"
         )
-    blocks = []
-    for b in range(num_blocks):
-        i1, i2, o1, o2 = vec[FIELDS_PER_BLOCK * b : FIELDS_PER_BLOCK * (b + 1)]
-        blocks.append(BlockSpec(i1, i2, _operation(o1), _operation(o2)))
-    g = CellGenome(tuple(blocks))
+    blocks = tuple(
+        _block(*vec[FIELDS_PER_BLOCK * b : FIELDS_PER_BLOCK * (b + 1)]) for b in range(num_blocks)
+    )
+    g = CellGenome(blocks)
     _require_valid(g)
     return g
+
+
+@lru_cache(maxsize=4096)
+def _block(i1: int, i2: int, o1: int, o2: int) -> BlockSpec:
+    """The block with these codes; blocks are immutable, so genomes share them."""
+    return BlockSpec(i1, i2, _operation(o1), _operation(o2))
 
 
 def search_space_size(num_blocks: int) -> int:
@@ -325,3 +337,16 @@ def unique_codes(codes: np.ndarray) -> np.ndarray:
     codes = np.asarray(codes)
     _, first = np.unique(codes @ _rank_weights(codes.shape[1] // FIELDS_PER_BLOCK), return_index=True)
     return codes[first]
+
+
+def codes_in(codes: np.ndarray, members: Iterable[tuple[int, ...]]) -> np.ndarray:
+    """Mask of the rows of ``codes`` whose tuple is among the encodings ``members``.
+
+    Equal to ``[tuple(row) in members for row in codes.tolist()]`` for legal
+    codes of one length, but compares mixed-radix ranks, so no Python object
+    is made per row.
+    """
+    codes = np.asarray(codes)
+    weights = _rank_weights(codes.shape[1] // FIELDS_PER_BLOCK)
+    known = np.array(list(members), dtype=np.int64).reshape(-1, codes.shape[1])
+    return np.isin(codes @ weights, known @ weights)

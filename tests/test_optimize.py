@@ -147,6 +147,19 @@ class TestRecords:
         with pytest.raises(LogError):
             split_log_entries(read_log(path))
 
+    def test_read_log_hands_its_parses_to_split(self, tmp_path):
+        from hwnas.records import append_log_line
+
+        path = tmp_path / "log.jsonl"
+        failed = make_record((0.2, 1.0, 1.0), i=7)
+        append_log_line(path, make_record((0.2, 1.0, 1.0), i=0).to_json_dict())
+        append_log_line(path, {**failed.to_json_dict(), "iteration": 1, "objectives": None})
+        append_log_line(path, make_record((0.3, 0.5, 1.0), i=1).to_json_dict())
+        parsed = []
+        entries = read_log(path, parsed)
+        assert len(parsed) == 3 and parsed[1] == failed.genome
+        assert split_log_entries(entries, parsed) == split_log_entries(entries)
+
 
 class TestReferencePoint:
     def test_positive_worst_is_ten_percent_margin(self):
@@ -315,8 +328,20 @@ def random_history_state(n):
         num_blocks=5,
         excluded={encode(r.genome) for r in records},
     )
-    models = _fit_models(state.history_codes(), records, state.objective_subset, [0, n])
+    models = _fit_models(state, [0, n])
     return state, models
+
+
+@pytest.mark.parametrize("subset", [None, ("error", "time")])
+def test_history_objectives_grow_to_the_transformed_matrix(subset):
+    records = [make_record((0.1 + 0.01 * i, 2.0**i, 0.5 / (i + 1) if i else 0.0), i=i) for i in range(12)]
+    state = SearchState(history=records[:5], objective_subset=normalize_subset(subset), num_blocks=5)
+    assert state.history_objectives().shape == (5, len(state.objective_subset))
+    for record in records[5:]:
+        state.history.append(record)
+        state.history_objectives()
+    expected = transform_values(objective_matrix(records, subset), subset)
+    assert state.history_objectives().tobytes() == expected.tobytes()
 
 
 class TestPoolCap:
@@ -631,6 +656,27 @@ class TestRunSearch:
         # the failed genome is never retried later in the run
         failed_enc = encode(decode([v for row in failures[0]["genome"]["blocks"] for v in row]))
         assert failed_enc not in {encode(r.genome) for r in successes}
+
+    def test_resume_excludes_the_logged_failures(self, tmp_path, monkeypatch):
+        from hwnas.records import append_log_line
+
+        cfg = small_config(tmp_path)
+        ev, _ = build_evaluator(SYNTH, cfg.macro)
+        first = run_search(cfg, ev, budget=1)[0]
+        failed_genome = next(g for g in enumerate_genomes(1) if g != first.genome)
+        failure = {**first.to_json_dict(), "iteration": 1, "genome": failed_genome.to_json_dict()}
+        append_log_line(cfg.log_path, {**failure, "objectives": None, "meta": {"failed": True}})
+        seen = []
+        original = optimize._random_unevaluated
+
+        def spy(rng, excluded, num_blocks):
+            seen.append(set(excluded))
+            return original(rng, excluded, num_blocks)
+
+        monkeypatch.setattr(optimize, "_random_unevaluated", spy)
+        records = run_search(cfg, ev, budget=2)
+        assert len(records) == 2
+        assert seen[0] == {encode(first.genome), encode(failed_genome)}
 
 
     # Fails (FAIL) for the first genome it is asked to measure, measures every other; logs each launch.

@@ -11,6 +11,7 @@ from hwnas.search_space import (
     CellGenome,
     GenomeError,
     Operation,
+    codes_in,
     decode,
     encode,
     enumerate_genomes,
@@ -130,6 +131,29 @@ class TestEncodeDecode:
         vec[0] = 3
         with pytest.raises(GenomeError):
             decode(vec)
+
+    @pytest.mark.parametrize("code", [-1, 8, 9])
+    def test_out_of_range_code_named(self, code):
+        vec = list(encode(all_identity_genome()))
+        vec[6] = code
+        with pytest.raises(GenomeError, match=rf"^operation code {code} outside 0\.\.7$"):
+            decode(vec)
+
+    def test_every_input_bound_violation_named(self):
+        vec = list(encode(all_identity_genome()))
+        vec[0], vec[5] = 3, -1
+        message = "block 0: input1 index 3 outside 0..1; block 1: input2 index -1 outside 0..2"
+        with pytest.raises(GenomeError) as info:
+            decode(vec)
+        assert str(info.value) == message
+
+    def test_equal_codes_decode_to_equal_genomes(self):
+        rng = np.random.default_rng(13)
+        codes = random_codes(rng, 5, 200)
+        for row in codes.tolist():
+            g = decode(row)
+            assert g == genome_from_rows([row[i : i + 4] for i in range(0, 20, 4)])
+            assert encode(g) == tuple(row)
 
     def test_encode_rejects_invalid_genome(self):
         g = genome_from_rows([[3, 0, 1, 1]] + [[0, 1, 1, 1]] * 4)
@@ -445,3 +469,21 @@ class TestUniqueCodes:
         every = np.array([encode(g) for g in enumerate_genomes(nb)])
         shuffled = every[np.random.default_rng(nb).permutation(len(every))]
         assert np.array_equal(unique_codes(np.vstack([shuffled, shuffled[::3]])), every)
+
+
+class TestCodesIn:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        nb=st.sampled_from([1, 2, 5, 7]),
+        count=st.integers(0, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_tuple_membership(self, nb, count, seed):
+        # 7 blocks take the Python-int ranks: the space outgrows int64.
+        rng = np.random.default_rng(seed)
+        codes = random_codes(rng, nb, count)
+        members = set(map(tuple, codes[::3].tolist())) | set(map(tuple, random_codes(rng, nb, 20).tolist()))
+        want = np.array([row in members for row in map(tuple, codes.tolist())], dtype=bool)
+        got = codes_in(codes, members)
+        assert got.dtype == bool and np.array_equal(got, want)
+        assert not codes_in(codes, set()).any()
