@@ -13,7 +13,7 @@ from .network import MacroConfig
 from .optimize import RunConfig, reevaluate_cross_device, run_random, run_search
 from .pareto import non_dominated_mask, pareto_filter
 from .records import load_records, normalize_subset
-from .search_space import encode, enumerate_genomes
+from .search_space import enumerate_genomes, unrank
 
 
 def _load_config(args) -> RunConfig:
@@ -151,12 +151,13 @@ def cmd_reeval(args) -> int:
 def cmd_enumerate(args) -> int:
     macro = MacroConfig.from_json_dict(json.loads(args.macro)) if args.macro else MacroConfig()
     evaluator, _ = build_evaluator({"type": "synthetic", "profile": args.profile}, macro)
-    genomes = list(enumerate_genomes(args.blocks))
-    measured = [evaluator(g) for g in genomes]
+    measured = [evaluator(g) for g in enumerate_genomes(args.blocks)]
     on_front = non_dominated_mask([o.values() for o in measured])
+    # Genome i of the enumeration has rank i.
+    codes = unrank(range(len(measured)), args.blocks).tolist()
     rows = [
-        {"encoding": list(encode(g)), "objectives": o.to_json_dict(), "is_pareto": p}
-        for g, o, p in zip(genomes, measured, on_front.tolist())
+        {"encoding": c, "objectives": o.to_json_dict(), "is_pareto": p}
+        for c, o, p in zip(codes, measured, on_front.tolist())
     ]
     _emit({"num_blocks": args.blocks, "profile": args.profile, "rows": rows}, args.out)
     return 0

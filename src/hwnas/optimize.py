@@ -37,19 +37,21 @@ from .records import (
     split_log_entries,
     transform_values,
 )
-from .search_space import (
+# perfbench/tracing.py rebinds random_genome and enumerate_genomes, so the names stay importable here.
+from .search_space import (  # noqa: F401
     ENUMERATION_CAP,
     FIELDS_PER_BLOCK,
     CellGenome,
-    codes_in,
     decode,
     encode,
     enumerate_genomes,
     mutate,
     random_codes,
     random_genome,
+    ranks,
     search_space_size,
     unique_codes,
+    unrank,
 )
 
 Evaluator = Callable[[CellGenome], ObjectiveVector]
@@ -146,16 +148,18 @@ class SearchState:
 
     ``history`` only grows; :meth:`history_codes` keeps its encodings as an
     int matrix and :meth:`history_objectives` its objectives in model space,
-    each record converted once.  Warm-up is decided by the caller,
-    which passes no models to :func:`propose_next` until it fits them.
-    ``pool_meta`` holds the last model-guided proposal's pool sizes, and is
-    empty after a warm-up proposal or the empty-pool fallback.
+    each record converted once.  ``excluded`` holds the rank (an int, see
+    :func:`~hwnas.search_space.ranks`) of every genome measured or failed;
+    none is proposed again.  Warm-up is decided by the caller, which passes
+    no models to :func:`propose_next` until it fits them.  ``pool_meta``
+    holds the last model-guided proposal's pool sizes, and is empty after a
+    warm-up proposal or the empty-pool fallback.
     """
 
     history: list[EvaluationRecord]
     objective_subset: tuple[str, ...]
     num_blocks: int
-    excluded: set[tuple[int, ...]] = field(default_factory=set)
+    excluded: set[int] = field(default_factory=set)
     pool_meta: dict[str, int] = field(default_factory=dict)
     _codes: np.ndarray = field(init=False, repr=False, compare=False)
     _objectives: np.ndarray = field(init=False, repr=False, compare=False)
@@ -225,22 +229,20 @@ def _posteriors(
     return means, stds
 
 
-def _random_unevaluated(
-    rng: np.random.Generator,
-    excluded: set[tuple[int, ...]],
-    num_blocks: int,
-) -> CellGenome:
+def _random_unevaluated(rng: np.random.Generator, state: SearchState) -> CellGenome:
+    """A uniform draw outside ``state.excluded``; a small space falls back to the remaining ranks."""
+    nb = state.num_blocks
     for _ in range(RANDOM_ATTEMPTS):
-        g = random_genome(rng, num_blocks)
-        if encode(g) not in excluded:
-            return g
-    # Small spaces: pick uniformly among the remaining genomes.
-    size = search_space_size(num_blocks)
+        codes = random_codes(rng, nb, 1)[0]  # random_genome's draw
+        if int(ranks(codes)) not in state.excluded:
+            return decode(codes, nb)
+    # Small spaces: pick uniformly among the remaining genomes, in enumeration order.
+    size = search_space_size(nb)
     if size <= ENUMERATION_CAP:
-        remaining = [g for g in enumerate_genomes(num_blocks) if encode(g) not in excluded]
-        if not remaining:
+        remaining = np.setdiff1d(np.arange(size), list(state.excluded), assume_unique=True)
+        if not remaining.size:
             raise SpaceExhaustedError(f"all {size} genomes already evaluated")
-        return remaining[int(rng.integers(len(remaining)))]
+        return decode(unrank(remaining[[int(rng.integers(len(remaining)))]], nb)[0], nb)
     raise SearchError("could not sample an unevaluated genome")
 
 
@@ -264,7 +266,7 @@ def propose_next(
     """
     state.pool_meta = {}
     if models is None:
-        return _random_unevaluated(rng, state.excluded, state.num_blocks)
+        return _random_unevaluated(rng, state)
 
     subset = state.objective_subset
     front = pareto_filter(state.history, subset)
@@ -277,9 +279,10 @@ def propose_next(
     mutants = mutate(np.repeat(parents, POOL_MUTATIONS_PER_PARETO, axis=0), rng)
     # Sorted lexicographically, as sorting the encoding tuples would.
     pool = unique_codes(np.vstack([randoms, mutants]))
-    candidates = pool[~codes_in(pool, state.excluded)]
+    pool_ranks = ranks(pool)  # int64, or Python ints past int64: the set's array takes this dtype
+    candidates = pool[~np.isin(pool_ranks, np.array(list(state.excluded), dtype=pool_ranks.dtype))]
     if not len(candidates):
-        return _random_unevaluated(rng, state.excluded, state.num_blocks)
+        return _random_unevaluated(rng, state)
     state.pool_meta = {
         "front_size": len(front),
         "pool_parents": len(parents),
@@ -331,12 +334,6 @@ def _check_resume(config: RunConfig, records: list[EvaluationRecord], source: st
             )
         raise ConfigMismatchError(
             f"existing log disagrees with config on {key!r}: log has {have!r}, config has {want!r}"
-        )
-    # read_log has checked that every genome has the first one's block count.
-    blocks = records[0].genome.num_blocks
-    if blocks != config.num_blocks:
-        raise ConfigMismatchError(
-            f"existing log's genomes have {blocks} blocks, config has num_blocks={config.num_blocks}"
         )
 
 
@@ -412,8 +409,7 @@ def _run(
 
     # The log is read under the lock, so no other run can be appending to it.
     with _LogLock(config.log_path):
-        history: list[EvaluationRecord] = []
-        excluded: set[tuple[int, ...]] = set()
+        state = SearchState(history=[], objective_subset=subset, num_blocks=config.num_blocks)
         if config.log_path and Path(config.log_path).exists():
             mended = mend_torn_tail(config.log_path)
             if mended:
@@ -421,16 +417,17 @@ def _run(
             parsed: list = []
             records, failures = split_log_entries(read_log(config.log_path, parsed), parsed)
             _check_resume(config, records, source)
-            history = records
+            state.history = records
             # A failure event parses to the genome that failed.
-            excluded = {encode(g.genome if isinstance(g, EvaluationRecord) else g) for g in parsed}
-
-        state = SearchState(
-            history=history,
-            objective_subset=subset,
-            num_blocks=config.num_blocks,
-            excluded=excluded,
-        )
+            genomes = [g.genome if isinstance(g, EvaluationRecord) else g for g in parsed]
+            # read_log has checked that every genome has the first one's block count.
+            # A log of failures only has no fingerprint, and a rank means nothing in another space.
+            blocks = genomes[0].num_blocks if genomes else config.num_blocks
+            if blocks != config.num_blocks:
+                raise ConfigMismatchError(
+                    f"existing log's genomes have {blocks} blocks, config has num_blocks={config.num_blocks}"
+                )
+            state.excluded = {int(ranks(encode(g))) for g in genomes}
 
         while len(state.history) < budget:
             iteration = len(state.history)
@@ -441,15 +438,16 @@ def _run(
             if source == SOURCE_BO and iteration >= max(config.n_init, 2):
                 models = _fit_models(state, [config.seed, iteration])
             if source == SOURCE_RANDOM:
-                genome = _random_unevaluated(rng, state.excluded, config.num_blocks)
+                genome = _random_unevaluated(rng, state)
             else:
                 genome = propose_next(state, models, rng)
+            # Measured or failed, it is not proposed again.
+            state.excluded.add(int(ranks(encode(genome))))
 
             objectives, error, attempts = _evaluate_with_retries(evaluator, genome)
             if objectives is None:
-                # Budget is not consumed; the genome is excluded so the
+                # Budget is not consumed; the genome is excluded, so the
                 # deterministic proposal cannot loop on it forever.
-                state.excluded.add(encode(genome))
                 if config.log_path:
                     append_log_line(
                         config.log_path,
@@ -481,7 +479,6 @@ def _run(
             if config.log_path:
                 append_log_line(config.log_path, record.to_json_dict())
             state.history.append(record)
-            state.excluded.add(encode(genome))
             if verbose:
                 print(
                     f"[{source}] iteration {iteration}: error={objectives.error:.4f} "

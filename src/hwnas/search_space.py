@@ -10,12 +10,13 @@ genome with ``nb`` blocks therefore encodes to ``4 * nb`` integers, position
 The search loop samples and mutates these integer codes directly
 (:func:`random_codes`, :func:`mutate`); :class:`CellGenome` is the validated
 form used at the JSON, CLI and evaluator boundary, converted with
-:func:`encode` and :func:`decode`.
+:func:`encode` and :func:`decode`.  A genome's identity in the loop is its
+mixed-radix rank (:func:`ranks`), its index in :func:`enumerate_genomes`
+order; :func:`unrank` turns ranks back into codes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -234,8 +235,7 @@ def enumerate_genomes(num_blocks: int, cap: int = ENUMERATION_CAP) -> Iterator[C
     size = search_space_size(num_blocks)
     if size > cap:
         raise ValueError(f"search space size {size} exceeds enumeration cap {cap}")
-    fields = itertools.product(*(range(r) for r in radices(num_blocks).tolist()))
-    return (decode(vec, num_blocks) for vec in fields)
+    return (decode(vec, num_blocks) for vec in unrank(np.arange(size), num_blocks).tolist())
 
 
 def unused_block_outputs(genome: CellGenome) -> set[int]:
@@ -318,35 +318,36 @@ def _rank_weights(num_blocks: int) -> np.ndarray:
     Python ints (object dtype) once the ranks no longer fit in int64.
     """
     limits = radices(num_blocks).tolist()
-    weights = [1] * len(limits)
-    for i in range(len(limits) - 1, 0, -1):
-        weights[i - 1] = weights[i] * limits[i]
+    weights = [math.prod(limits[i + 1 :]) for i in range(len(limits))]
     fits = search_space_size(num_blocks) <= np.iinfo(np.int64).max + 1
     out = np.array(weights, dtype=np.int64 if fits else object)
     out.flags.writeable = False
     return out
 
 
+def ranks(codes):
+    """Mixed-radix rank of an encoded genome: its index in :func:`enumerate_genomes` order.
+
+    One rank for a code row, one per row for a matrix: int64, or Python ints
+    (object dtype) once the space outgrows int64.
+    """
+    codes = np.asarray(codes)
+    return codes @ _rank_weights(codes.shape[-1] // FIELDS_PER_BLOCK)
+
+
+def unrank(ranks, num_blocks: int) -> np.ndarray:
+    """Inverse of :func:`ranks`: the (len(ranks), 4 nb) code matrix of a 1-D array of ranks."""
+    weights = _rank_weights(num_blocks)
+    ranks = np.asarray(ranks, dtype=weights.dtype)
+    return (ranks[:, None] // weights % radices(num_blocks)).astype(np.int64)
+
+
 def unique_codes(codes: np.ndarray) -> np.ndarray:
     """Distinct rows of a code matrix in encoding order: ``np.unique(codes, axis=0)``.
 
-    Each row's mixed-radix rank (its index in :func:`enumerate_genomes`
-    order) is one integer, so one 1-D ``np.unique`` finds the first row of
-    each rank, in rank order, which is lexicographic row order.
+    Each row's rank is one integer, so one 1-D ``np.unique`` finds the first
+    row of each rank, in rank order, which is lexicographic row order.
     """
     codes = np.asarray(codes)
-    _, first = np.unique(codes @ _rank_weights(codes.shape[1] // FIELDS_PER_BLOCK), return_index=True)
+    _, first = np.unique(ranks(codes), return_index=True)
     return codes[first]
-
-
-def codes_in(codes: np.ndarray, members: Iterable[tuple[int, ...]]) -> np.ndarray:
-    """Mask of the rows of ``codes`` whose tuple is among the encodings ``members``.
-
-    Equal to ``[tuple(row) in members for row in codes.tolist()]`` for legal
-    codes of one length, but compares mixed-radix ranks, so no Python object
-    is made per row.
-    """
-    codes = np.asarray(codes)
-    weights = _rank_weights(codes.shape[1] // FIELDS_PER_BLOCK)
-    known = np.array(list(members), dtype=np.int64).reshape(-1, codes.shape[1])
-    return np.isin(codes @ weights, known @ weights)

@@ -90,6 +90,23 @@ class TestSearchCommand:
         assert "genomes have 2 blocks, config has num_blocks=1" in capsys.readouterr().err
         assert log.read_bytes() == before
 
+    def test_failure_log_of_another_block_count_refused(self, tmp_path, capsys):
+        # A log of failure events only has no fingerprint, but its genomes'
+        # ranks belong to another space, so resuming it is refused too.
+        cfg_path, cfg = write_config(tmp_path, budget=3)
+        assert main(["search", "--config", str(cfg_path)]) == 0
+        log = Path(cfg["log_path"])
+        entries = [json.loads(line) for line in log.read_text().splitlines()]
+        for entry in entries:
+            entry["genome"]["blocks"] *= 2
+            entry["objectives"] = None
+            entry["meta"] = {"failed": True}
+        log.write_text("".join(json.dumps(entry) + "\n" for entry in entries))
+        before = log.read_bytes()
+        assert main(["search", "--config", str(cfg_path), "--budget", "5"]) == 1
+        assert "genomes have 2 blocks, config has num_blocks=1" in capsys.readouterr().err
+        assert log.read_bytes() == before
+
     def test_seed_mismatch_refused(self, tmp_path, capsys):
         cfg_path, cfg = write_config(tmp_path)
         assert main(["search", "--config", str(cfg_path)]) == 0

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwnas import optimize
 from hwnas.evaluation import build_evaluator, get_profile, synthetic_evaluate
@@ -41,7 +43,7 @@ from hwnas.records import (
     split_log_entries,
     transform_values,
 )
-from hwnas.search_space import decode, encode, enumerate_genomes, random_genome
+from hwnas.search_space import decode, encode, enumerate_genomes, random_genome, ranks
 
 from test_evaluation import BAD_EVALUATOR_SPECS
 
@@ -89,6 +91,11 @@ def small_config(tmp_path=None, **kw):
     )
     defaults.update(kw)
     return RunConfig(**defaults)
+
+
+def rank_set(genomes):
+    """The genomes' ranks, as ``SearchState.excluded`` holds them."""
+    return {int(ranks(encode(g))) for g in genomes}
 
 
 def make_record(values, i=0, genome=None, device="dev", source="random"):
@@ -286,7 +293,7 @@ class TestProposeNext:
             history=records,
             objective_subset=normalize_subset(None),
             num_blocks=1,
-            excluded={encode(r.genome) for r in records},
+            excluded=rank_set(r.genome for r in records),
         )
         X = featurize_batch([r.genome for r in records])
         T = transform_values(objective_matrix(records), None)
@@ -294,13 +301,36 @@ class TestProposeNext:
         g = propose_next(state, models, np.random.default_rng(1))
         assert encode(g) == encode(genomes[255])
 
+    @pytest.mark.parametrize("nb", [5, 7])
+    def test_pool_drops_exactly_the_evaluated_genomes(self, monkeypatch, nb):
+        # 7 blocks take the object-dtype ranks: the space outgrows int64.
+        macro, prof = MacroConfig(), get_profile("movidius-ncs")
+        rng = np.random.default_rng(nb)
+        genomes = [random_genome(rng, nb) for _ in range(30)]
+        records = [make_record(tuple(synthetic_evaluate(g, macro, prof).values()), i=i, genome=g)
+                   for i, g in enumerate(genomes)]
+        state = SearchState(history=records, objective_subset=normalize_subset(None),
+                            num_blocks=nb, excluded=rank_set(genomes))
+        pools, real_unique_codes = [], optimize.unique_codes
+
+        def kept_pool(codes):
+            pools.append(real_unique_codes(codes))
+            return pools[-1]
+
+        monkeypatch.setattr(optimize, "unique_codes", kept_pool)
+        propose_next(state, _fit_models(state, [0, len(records)]), np.random.default_rng(1))
+        evaluated = {encode(g) for g in genomes}
+        unevaluated = [row for row in map(tuple, pools[0].tolist()) if row not in evaluated]
+        assert len(unevaluated) < len(pools[0])  # some mutants equal their parents
+        assert state.pool_meta["pool_candidates"] == len(unevaluated)
+
     def test_space_exhausted(self):
         genomes = list(enumerate_genomes(1))
         state = SearchState(
             history=[],
             objective_subset=normalize_subset(None),
             num_blocks=1,
-            excluded={encode(g) for g in genomes},
+            excluded=rank_set(genomes),
         )
         with pytest.raises(SpaceExhaustedError):
             propose_next(state, None, np.random.default_rng(0))
@@ -311,6 +341,66 @@ class TestProposeNext:
         a = propose_next(state, None, np.random.default_rng(4))
         b = propose_next(state, None, np.random.default_rng(4))
         assert a == b
+
+    @staticmethod
+    def listed_random_unevaluated(rng, excluded, num_blocks):
+        """Reference: warm-up over decoded genomes and encoding tuples, with a listed small-space fallback."""
+        for _ in range(optimize.RANDOM_ATTEMPTS):
+            g = random_genome(rng, num_blocks)
+            if encode(g) not in excluded:
+                return g
+        remaining = [g for g in enumerate_genomes(num_blocks) if encode(g) not in excluded]
+        if not remaining:
+            raise SpaceExhaustedError("exhausted")
+        return remaining[int(rng.integers(len(remaining)))]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(left=st.sets(st.integers(0, 255), max_size=4), seed=st.integers(0, 2**32 - 1))
+    def test_warm_up_picks_as_the_listed_fallback(self, left, seed):
+        # Leaving at most 4 of the 256 genomes, often all 200 draws miss and
+        # the fallback picks; leaving none must raise.
+        genomes = list(enumerate_genomes(1))
+        excluded = [g for i, g in enumerate(genomes) if i not in left]
+        state = SearchState(history=[], objective_subset=normalize_subset(None),
+                            num_blocks=1, excluded=rank_set(excluded))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            want = self.listed_random_unevaluated(want_rng, {encode(g) for g in excluded}, 1)
+        except SpaceExhaustedError:
+            with pytest.raises(SpaceExhaustedError):
+                propose_next(state, None, got_rng)
+        else:
+            assert propose_next(state, None, got_rng) == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "left, attempts, fit",
+        [(range(256), 200, False), ([7, 90], 0, False), (range(0, 256, 2), 200, True)],
+        ids=["warm-up", "fallback", "model-guided"],
+    )
+    def test_a_proposal_decodes_only_the_genome_it_returns(self, monkeypatch, left, attempts, fit):
+        monkeypatch.setattr(optimize, "RANDOM_ATTEMPTS", attempts)
+        macro, prof = MacroConfig(), get_profile("movidius-ncs")
+        genomes = list(enumerate_genomes(1))
+        left = set(left)
+        records = [
+            make_record(tuple(synthetic_evaluate(g, macro, prof).values()), i=i, genome=g)
+            for i, g in enumerate(g for j, g in enumerate(genomes) if j not in left)
+        ]
+        state = SearchState(history=records, objective_subset=normalize_subset(None),
+                            num_blocks=1, excluded=rank_set(r.genome for r in records))
+        models = _fit_models(state, [0, len(records)]) if fit else None
+        decoded, real_decode = [], optimize.decode
+
+        def counted_decode(*args):
+            decoded.append(real_decode(*args))
+            return decoded[-1]
+
+        monkeypatch.setattr(optimize, "decode", counted_decode)
+        for name in ("random_genome", "enumerate_genomes"):
+            monkeypatch.setattr(optimize, name, None)
+        g = propose_next(state, models, np.random.default_rng(3))
+        assert decoded == [g] and genomes.index(g) in left
 
 
 def random_history_state(n):
@@ -326,7 +416,7 @@ def random_history_state(n):
         history=records,
         objective_subset=normalize_subset(None),
         num_blocks=5,
-        excluded={encode(r.genome) for r in records},
+        excluded=rank_set(r.genome for r in records),
     )
     models = _fit_models(state, [0, n])
     return state, models
@@ -669,14 +759,14 @@ class TestRunSearch:
         seen = []
         original = optimize._random_unevaluated
 
-        def spy(rng, excluded, num_blocks):
-            seen.append(set(excluded))
-            return original(rng, excluded, num_blocks)
+        def spy(rng, state):
+            seen.append(set(state.excluded))
+            return original(rng, state)
 
         monkeypatch.setattr(optimize, "_random_unevaluated", spy)
         records = run_search(cfg, ev, budget=2)
         assert len(records) == 2
-        assert seen[0] == {encode(first.genome), encode(failed_genome)}
+        assert seen[0] == rank_set([first.genome, failed_genome])
 
 
     # Fails (FAIL) for the first genome it is asked to measure, measures every other; logs each launch.

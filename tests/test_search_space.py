@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +13,6 @@ from hwnas.search_space import (
     CellGenome,
     GenomeError,
     Operation,
-    codes_in,
     decode,
     encode,
     enumerate_genomes,
@@ -20,8 +21,10 @@ from hwnas.search_space import (
     radices,
     random_codes,
     random_genome,
+    ranks,
     search_space_size,
     unique_codes,
+    unrank,
     unused_block_outputs,
     validate_genome,
 )
@@ -471,19 +474,25 @@ class TestUniqueCodes:
         assert np.array_equal(unique_codes(np.vstack([shuffled, shuffled[::3]])), every)
 
 
-class TestCodesIn:
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        nb=st.sampled_from([1, 2, 5, 7]),
-        count=st.integers(0, 200),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_matches_tuple_membership(self, nb, count, seed):
-        # 7 blocks take the Python-int ranks: the space outgrows int64.
-        rng = np.random.default_rng(seed)
-        codes = random_codes(rng, nb, count)
-        members = set(map(tuple, codes[::3].tolist())) | set(map(tuple, random_codes(rng, nb, 20).tolist()))
-        want = np.array([row in members for row in map(tuple, codes.tolist())], dtype=bool)
-        got = codes_in(codes, members)
-        assert got.dtype == bool and np.array_equal(got, want)
-        assert not codes_in(codes, set()).any()
+class TestRanks:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(nb=st.integers(1, 8), count=st.integers(0, 50), seed=st.integers(0, 2**32 - 1))
+    def test_unrank_inverts_ranks(self, nb, count, seed):
+        # From 7 blocks the ranks are Python ints: the space outgrows int64.
+        codes = random_codes(np.random.default_rng(seed), nb, count)
+        r = ranks(codes)
+        assert r.dtype == (np.int64 if nb < 7 else object)
+        assert [ranks(row) for row in codes] == r.tolist()
+        back = unrank(r, nb)
+        assert back.dtype == np.int64 and np.array_equal(back, codes)
+
+    @pytest.mark.parametrize("nb", [1, 2])
+    def test_unrank_of_every_rank_is_product_order(self, nb):
+        product = itertools.product(*(range(r) for r in radices(nb).tolist()))
+        assert unrank(np.arange(search_space_size(nb)), nb).tolist() == [list(row) for row in product]
+
+    def test_extremes(self):
+        for nb in (1, 5, 8):
+            size = search_space_size(nb)
+            assert unrank([0, size - 1], nb).tolist() == [[0] * 4 * nb, (radices(nb) - 1).tolist()]
+            assert ranks(radices(nb) - 1) == size - 1
