@@ -129,3 +129,49 @@ def test_external_trace_log_matches_golden(tmp_path, monkeypatch):
     evaluator, _ = build_evaluator(cfg.evaluator, cfg.macro)
     run_random(cfg, evaluator)
     assert (tmp_path / "ext_trace.jsonl").read_bytes() == (DATA / "ext_trace.jsonl").read_bytes()
+
+
+FAILURE_CONFIG = dict(
+    seed=0,
+    budget=30,
+    n_init=10,
+    num_blocks=1,
+    evaluator={"type": "synthetic", "profile": "movidius-ncs"},
+)
+
+
+def failing_evaluator(cfg: RunConfig):
+    """The synthetic evaluator, except that every genome whose rank is 3 mod 6 fails on every attempt."""
+    from hwnas.search_space import encode, ranks
+
+    synthetic, _ = build_evaluator(cfg.evaluator, cfg.macro)
+
+    def evaluate(genome):
+        rank = int(ranks(encode(genome)))
+        if rank % 6 == 3:
+            raise RuntimeError(f"device lost on rank {rank}")
+        return synthetic(genome)
+
+    return evaluate
+
+
+def test_failure_event_log_matches_golden(tmp_path):
+    """Failure events in warm-up and model-guided steps, two in one iteration among them.
+
+    Resumed from every prefix that ends on a failure event, the run
+    appends the same lines.
+    """
+    log = tmp_path / "b1_failures.jsonl"
+    cfg = RunConfig(log_path=str(log), **FAILURE_CONFIG)
+    run_search(cfg, failing_evaluator(cfg))
+    golden = (DATA / "b1_failures.jsonl").read_bytes()
+    assert log.read_bytes() == golden
+
+    lines = golden.decode().splitlines(keepends=True)
+    failed = [i for i, line in enumerate(lines) if json.loads(line)["objectives"] is None]
+    assert failed and failed[0] < FAILURE_CONFIG["n_init"] < failed[-1] < len(lines) - 1
+    for end in failed:
+        part = tmp_path / f"part{end}.jsonl"
+        part.write_text("".join(lines[: end + 1]))
+        run_search(replace(cfg, log_path=str(part)), failing_evaluator(cfg))
+        assert part.read_bytes() == golden, f"resumed after line {end + 1}"
