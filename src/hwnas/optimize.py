@@ -34,7 +34,6 @@ from .records import (
     normalize_subset,
     objective_matrix,
     read_log,
-    split_log_entries,
     transform_values,
 )
 # perfbench/tracing.py rebinds random_genome and enumerate_genomes, so the names stay importable here.
@@ -322,8 +321,6 @@ def _check_resume(config: RunConfig, records: list[EvaluationRecord], source: st
     meta = records[0].meta
     expected = _config_fingerprint(config, source)
     for key, want in expected.items():
-        if key == "macro" and key not in meta:
-            continue  # written before the macro config joined the fingerprint
         have = meta.get(key)
         if have == want:
             continue
@@ -414,20 +411,17 @@ def _run(
             mended = mend_torn_tail(config.log_path)
             if mended:
                 print(f"warning: {mended}", file=sys.stderr)
-            parsed: list = []
-            records, failures = split_log_entries(read_log(config.log_path, parsed), parsed)
-            _check_resume(config, records, source)
-            state.history = records
-            # A failure event parses to the genome that failed.
-            genomes = [g.genome if isinstance(g, EvaluationRecord) else g for g in parsed]
+            entries = read_log(config.log_path)
+            state.history = [entry for entry in entries if entry.objectives is not None]
+            _check_resume(config, state.history, source)
             # read_log has checked that every genome has the first one's block count.
             # A log of failures only has no fingerprint, and a rank means nothing in another space.
-            blocks = genomes[0].num_blocks if genomes else config.num_blocks
+            blocks = entries[0].genome.num_blocks if entries else config.num_blocks
             if blocks != config.num_blocks:
                 raise ConfigMismatchError(
                     f"existing log's genomes have {blocks} blocks, config has num_blocks={config.num_blocks}"
                 )
-            state.excluded = {int(ranks(encode(g))) for g in genomes}
+            state.excluded = {int(ranks(encode(entry.genome))) for entry in entries}
 
         while len(state.history) < budget:
             iteration = len(state.history)
@@ -446,27 +440,10 @@ def _run(
 
             objectives, error, attempts = _evaluate_with_retries(evaluator, genome)
             if objectives is None:
-                # Budget is not consumed; the genome is excluded, so the
-                # deterministic proposal cannot loop on it forever.
-                if config.log_path:
-                    append_log_line(
-                        config.log_path,
-                        {
-                            "iteration": iteration,
-                            "source": source,
-                            "device": device,
-                            "genome": genome.to_json_dict(),
-                            "objectives": None,
-                            "timestamp": logical_timestamp(iteration),
-                            "meta": {"failed": True, "error": error, "attempts": attempts},
-                        },
-                    )
-                if verbose:
-                    print(f"[{source}] iteration {iteration}: evaluation failed: {error}")
-                continue
-
-            meta = _config_fingerprint(config, source) if iteration == 0 else {}
-            meta.update(state.pool_meta)
+                meta = {"failed": True, "error": error, "attempts": attempts}
+            else:
+                meta = _config_fingerprint(config, source) if iteration == 0 else {}
+                meta.update(state.pool_meta)
             record = EvaluationRecord(
                 genome=genome,
                 objectives=objectives,
@@ -478,6 +455,12 @@ def _run(
             )
             if config.log_path:
                 append_log_line(config.log_path, record.to_json_dict())
+            if objectives is None:
+                # Budget is not consumed; the genome is excluded, so the
+                # deterministic proposal cannot loop on it forever.
+                if verbose:
+                    print(f"[{source}] iteration {iteration}: evaluation failed: {error}")
+                continue
             state.history.append(record)
             if verbose:
                 print(

@@ -1,4 +1,11 @@
-"""Objective vectors, evaluation records, and the append-only JSONL run log."""
+"""Objective vectors, evaluation records, and the append-only JSONL run log.
+
+The run log holds one :class:`EvaluationRecord` per line, of two kinds: a
+measured architecture, and a failure event, whose ``objectives`` is null,
+for a genome whose measurement failed after its retries.  Both are written
+by :meth:`EvaluationRecord.to_json_dict` and :func:`append_log_line`, and
+read back by :func:`read_log`, which parses each line once.
+"""
 
 from __future__ import annotations
 
@@ -96,10 +103,10 @@ def objective_matrix(records, subset=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EvaluationRecord:
-    """One measured architecture: genome, objectives, provenance."""
+    """One run-log line: a measured architecture, or a failure event (``objectives`` None)."""
 
     genome: CellGenome
-    objectives: ObjectiveVector
+    objectives: ObjectiveVector | None
     device: str
     iteration: int
     source: str
@@ -113,16 +120,17 @@ class EvaluationRecord:
             "source": self.source,
             "device": self.device,
             "genome": self.genome.to_json_dict(),
-            "objectives": self.objectives.to_json_dict(),
+            "objectives": None if self.objectives is None else self.objectives.to_json_dict(),
             "timestamp": self.timestamp,
             "meta": self.meta,
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EvaluationRecord":
+        objectives = d["objectives"]
         return cls(
             genome=CellGenome.from_json_dict(d["genome"]),
-            objectives=ObjectiveVector.from_json_dict(d["objectives"]),
+            objectives=None if objectives is None else ObjectiveVector.from_json_dict(objectives),
             device=str(d["device"]),
             iteration=int(d["iteration"]),
             source=str(d["source"]),
@@ -189,40 +197,19 @@ def mend_torn_tail(path: str | Path) -> str | None:
 _REQUIRED_KEYS = ("iteration", "genome", "objectives")
 
 
-def _parse_entry(entry) -> EvaluationRecord | CellGenome:
-    """The record a log entry holds, or for a failure event the genome that failed.
+def read_log(path: str | Path) -> list[EvaluationRecord]:
+    """Parse a JSONL run log into one record per non-blank line, failure events included.
 
-    Failure events are entries with ``objectives`` null; they mark genomes
-    whose evaluation failed after retries and must stay excluded from
-    proposals.  Raises :class:`LogError` for an entry that is not a JSON
-    object, lacks one of ``iteration``, ``genome`` and ``objectives``, or
-    holds a value that does not parse.
+    A line is refused with a :class:`LogError` naming the path and line when
+    it is not a JSON object, lacks one of ``iteration``, ``genome`` and
+    ``objectives``, or holds a value that does not parse.  One run searches
+    one space, so a genome whose block count differs from the first line's
+    is refused the same way, and so is a measured record whose iteration
+    does not follow the last one's (they run 0, 1, 2, ...).
     """
-    if not isinstance(entry, dict):
-        raise LogError(f"expected a JSON object, got {type(entry).__name__}")
-    missing = [key for key in _REQUIRED_KEYS if key not in entry]
-    if missing:
-        raise LogError(f"missing {', '.join(missing)}")
-    try:
-        if entry["objectives"] is not None:
-            return EvaluationRecord.from_json_dict(entry)
-        int(entry["iteration"])
-        return CellGenome.from_json_dict(entry["genome"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise LogError(f"unreadable entry: {type(exc).__name__}: {exc}") from exc
-
-
-def read_log(path: str | Path, parsed: list | None = None) -> list[dict]:
-    """Parse a JSONL run log into raw dicts (records and failure events alike).
-
-    Every line is checked with :func:`_parse_entry`, so a malformed one is
-    reported as a :class:`LogError` naming the path and line.  One run
-    searches one space, so a genome whose block count differs from the
-    first entry's is refused the same way.  When ``parsed`` is a list, each
-    entry's parse is appended to it, for :func:`split_log_entries`.
-    """
-    entries: list[dict] = []
-    first: tuple[int, int] | None = None  # (line, block count) of the first entry
+    records: list[EvaluationRecord] = []
+    first: tuple[int, int] | None = None  # (line, block count) of the first record
+    measured = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -232,51 +219,33 @@ def read_log(path: str | Path, parsed: list | None = None) -> list[dict]:
                 entry = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise LogError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(entry, dict):
+                raise LogError(f"{path}:{lineno}: expected a JSON object, got {type(entry).__name__}")
+            missing = [key for key in _REQUIRED_KEYS if key not in entry]
+            if missing:
+                raise LogError(f"{path}:{lineno}: missing {', '.join(missing)}")
             try:
-                parsed_entry = _parse_entry(entry)
-            except LogError as exc:
-                raise LogError(f"{path}:{lineno}: {exc}") from exc
-            genome = parsed_entry.genome if isinstance(parsed_entry, EvaluationRecord) else parsed_entry
-            blocks = genome.num_blocks
+                record = EvaluationRecord.from_json_dict(entry)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise LogError(f"{path}:{lineno}: unreadable entry: {type(exc).__name__}: {exc}") from exc
+            blocks = record.genome.num_blocks
             if first is None:
                 first = (lineno, blocks)
             elif blocks != first[1]:
                 raise LogError(
-                    f"{path}:{lineno}: genome has {blocks} blocks, "
-                    f"line {first[0]}'s has {first[1]}"
+                    f"{path}:{lineno}: genome has {blocks} blocks, line {first[0]}'s has {first[1]}"
                 )
-            entries.append(entry)
-            if parsed is not None:
-                parsed.append(parsed_entry)
-    return entries
-
-
-def split_log_entries(
-    entries: list[dict], parsed: list | None = None
-) -> tuple[list[EvaluationRecord], list[dict]]:
-    """Separate successful evaluation records from failure events (see :func:`_parse_entry`).
-
-    ``parsed``, the list that ``read_log(path, parsed)`` filled, saves
-    parsing the entries again.
-    """
-    records: list[EvaluationRecord] = []
-    failures: list[dict] = []
-    if parsed is None:
-        parsed = [_parse_entry(entry) for entry in entries]
-    for entry, parsed_entry in zip(entries, parsed, strict=True):
-        if isinstance(parsed_entry, EvaluationRecord):
-            records.append(parsed_entry)
-        else:
-            failures.append(entry)
-    for expected, rec in enumerate(records):
-        if rec.iteration != expected:
-            raise LogError(
-                f"log iterations not consecutive: expected {expected}, found {rec.iteration}"
-            )
-    return records, failures
+            if record.objectives is not None:
+                if record.iteration != measured:
+                    raise LogError(
+                        f"{path}:{lineno}: measured iterations not consecutive: "
+                        f"expected {measured}, found {record.iteration}"
+                    )
+                measured += 1
+            records.append(record)
+    return records
 
 
 def load_records(path: str | Path) -> list[EvaluationRecord]:
-    parsed: list = []
-    records, _ = split_log_entries(read_log(path, parsed), parsed)
-    return records
+    """The measured records of a run log; failure events are left out."""
+    return [record for record in read_log(path) if record.objectives is not None]

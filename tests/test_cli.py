@@ -397,3 +397,39 @@ class TestExportCommand:
         assert rows[0] == ["iteration", "error", "energy_j", "time_s", "is_pareto"]
         assert len(rows) == 7
         assert {r[4] for r in rows[1:]} <= {"0", "1"}
+
+
+class TestLogWithFailureEvents:
+    """``pareto``, ``export`` and ``reeval`` list a log's measured records and skip its failure events."""
+
+    LOG = str(Path(__file__).parent / "data" / "b1_failures.jsonl")
+
+    def measured(self):
+        entries = [json.loads(line) for line in Path(self.LOG).read_text().splitlines()]
+        assert sum(e["objectives"] is None for e in entries) == 10
+        return [EvaluationRecord.from_json_dict(e) for e in entries if e["objectives"] is not None]
+
+    def front(self):
+        return [(r.iteration, r.genome.to_json_dict()) for r in pareto_filter(self.measured())]
+
+    def test_pareto(self, tmp_path):
+        out = tmp_path / "front.json"
+        assert main(["pareto", "--log", self.LOG, "--out", str(out)]) == 0
+        front = json.loads(out.read_text())["front"]
+        assert [(m["iteration"], m["genome"]) for m in front] == self.front()
+
+    def test_export(self, tmp_path):
+        out = tmp_path / "plot.csv"
+        assert main(["export", "--log", self.LOG, "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        measured = self.measured()
+        assert [int(r[0]) for r in rows] == [r.iteration for r in measured] == list(range(30))
+        assert [float(r[1]) for r in rows] == [r.objectives.error for r in measured]
+
+    def test_reeval(self, tmp_path):
+        out = tmp_path / "report.json"
+        target = json.dumps({"type": "synthetic", "profile": "titanx"})
+        assert main(["reeval", "--log", self.LOG, "--target", target, "--out", str(out)]) == 0
+        models = json.loads(out.read_text())["models"]
+        assert [(m["source_iteration"], m["genome"]) for m in models] == self.front()

@@ -39,8 +39,8 @@ from hwnas.records import (
     logical_timestamp,
     normalize_subset,
     objective_matrix,
+    load_records,
     read_log,
-    split_log_entries,
     transform_values,
 )
 from hwnas.search_space import decode, encode, enumerate_genomes, random_genome, ranks
@@ -77,6 +77,8 @@ MALFORMED_ENTRIES = {
     "record with a number for meta": lambda rec: {**rec, "meta": 5},
     "failure with a text genome": lambda rec: {**_failure(rec), "genome": "cell"},
     "failure with a null iteration": lambda rec: {**_failure(rec), "iteration": None},
+    "failure without device": lambda rec: _without("device", _failure(rec)),
+    "failure with a number for meta": lambda rec: {**_failure(rec), "meta": 5},
 }
 
 
@@ -145,27 +147,32 @@ class TestRecords:
         assert T[0, 1] == pytest.approx(1.0)
         assert T[0, 2] == pytest.approx(2.0)
 
+    def test_failure_event_json_round_trip(self):
+        failed = replace(make_record((0.2, 1.5, 0.1), i=3), objectives=None, meta={"failed": True})
+        d = failed.to_json_dict()
+        assert list(d) == ["iteration", "source", "device", "genome", "objectives", "timestamp", "meta"]
+        assert d["objectives"] is None
+        assert EvaluationRecord.from_json_dict(json.loads(json.dumps(d))) == failed
+
     def test_non_consecutive_iterations_rejected(self, tmp_path):
         from hwnas.records import LogError, append_log_line
 
         path = tmp_path / "bad.jsonl"
         for i in (0, 2):
             append_log_line(path, make_record((0.2, 1.0, 1.0), i=i).to_json_dict())
-        with pytest.raises(LogError):
-            split_log_entries(read_log(path))
+        with pytest.raises(LogError, match=f"^{re.escape(str(path))}:2: "):
+            read_log(path)
 
-    def test_read_log_hands_its_parses_to_split(self, tmp_path):
+    def test_read_log_gives_one_record_per_line(self, tmp_path):
         from hwnas.records import append_log_line
 
         path = tmp_path / "log.jsonl"
-        failed = make_record((0.2, 1.0, 1.0), i=7)
-        append_log_line(path, make_record((0.2, 1.0, 1.0), i=0).to_json_dict())
-        append_log_line(path, {**failed.to_json_dict(), "iteration": 1, "objectives": None})
-        append_log_line(path, make_record((0.3, 0.5, 1.0), i=1).to_json_dict())
-        parsed = []
-        entries = read_log(path, parsed)
-        assert len(parsed) == 3 and parsed[1] == failed.genome
-        assert split_log_entries(entries, parsed) == split_log_entries(entries)
+        failed = replace(make_record((0.2, 1.0, 1.0), i=1), objectives=None, meta={"failed": True})
+        measured = [make_record((0.2, 1.0, 1.0), i=0), make_record((0.3, 0.5, 1.0), i=1)]
+        for record in (measured[0], failed, measured[1]):
+            append_log_line(path, record.to_json_dict())
+        assert read_log(path) == [measured[0], failed, measured[1]]
+        assert load_records(path) == measured
 
 
 class TestReferencePoint:
@@ -524,7 +531,7 @@ class TestRunSearch:
         ev, device = build_evaluator(cfg.evaluator, cfg.macro)
         run_search(cfg, ev)
         assert device == "movidius-ncs"
-        assert {e["device"] for e in read_log(cfg.log_path)} == {"movidius-ncs"}
+        assert {e.device for e in read_log(cfg.log_path)} == {"movidius-ncs"}
 
     def test_reproducible_byte_identical(self, tmp_path):
         cfg_a = small_config(tmp_path, log_path=str(tmp_path / "a.jsonl"))
@@ -572,21 +579,20 @@ class TestRunSearch:
         with pytest.raises(ConfigMismatchError, match="macro"):
             run_search(other, ev)
 
-    def test_log_without_macro_key_resumes(self, tmp_path):
-        # Logs written before the macro config joined the fingerprint lack the key.
-        full_cfg = small_config(tmp_path, log_path=str(tmp_path / "full.jsonl"))
-        ev, _ = build_evaluator(SYNTH, full_cfg.macro)
-        run_search(full_cfg, ev)
-        lines = Path(full_cfg.log_path).read_text().strip().split("\n")
+    def test_log_without_macro_key_refused_untouched(self, tmp_path):
+        cfg = small_config(tmp_path)
+        ev, _ = build_evaluator(SYNTH, cfg.macro)
+        run_search(cfg, ev, budget=3)
+        lines = Path(cfg.log_path).read_text().splitlines()
         first = json.loads(lines[0])
-        assert first["meta"].pop("macro") == full_cfg.macro.to_json_dict()
-        # Such a line keeps the search version, which is never exempt.
+        assert first["meta"].pop("macro") == cfg.macro.to_json_dict()
         assert first["meta"]["search"] == SEARCH_VERSION
-        old_first = json.dumps(first, separators=(",", ":"))
-        part_path = tmp_path / "part.jsonl"
-        part_path.write_text("\n".join([old_first] + lines[1:3]) + "\n")
-        run_search(small_config(tmp_path, log_path=str(part_path)), ev)
-        assert part_path.read_text().strip().split("\n") == [old_first] + lines[1:]
+        old = "\n".join([json.dumps(first, separators=(",", ":"))] + lines[1:]) + "\n"
+        Path(cfg.log_path).write_text(old)
+        with pytest.raises(ConfigMismatchError, match="'macro'"):
+            run_search(cfg, ev)
+        assert Path(cfg.log_path).read_text() == old
+        assert not Path(cfg.log_path + ".lock").exists()
 
     @pytest.mark.parametrize("mode", ["search", "random"])
     @pytest.mark.parametrize("version", [SEARCH_VERSION + 1, SEARCH_VERSION - 1, None])
@@ -737,15 +743,14 @@ class TestRunSearch:
         records = run_search(cfg, flaky)
         assert len(records) == 4
         entries = read_log(cfg.log_path)
-        failures = [e for e in entries if e.get("objectives") is None]
+        failures = [e for e in entries if e.objectives is None]
         assert len(failures) == 1
-        assert failures[0]["meta"]["failed"] is True
-        assert "transient" in failures[0]["meta"]["error"]
-        successes, fail_entries = split_log_entries(entries)
-        assert len(successes) == 4 and len(fail_entries) == 1
+        assert failures[0].meta["failed"] is True
+        assert "transient" in failures[0].meta["error"]
+        successes = load_records(cfg.log_path)
+        assert len(successes) == 4 and len(entries) == 5
         # the failed genome is never retried later in the run
-        failed_enc = encode(decode([v for row in failures[0]["genome"]["blocks"] for v in row]))
-        assert failed_enc not in {encode(r.genome) for r in successes}
+        assert failures[0].genome not in {r.genome for r in successes}
 
     def test_resume_excludes_the_logged_failures(self, tmp_path, monkeypatch):
         from hwnas.records import append_log_line
@@ -754,8 +759,8 @@ class TestRunSearch:
         ev, _ = build_evaluator(SYNTH, cfg.macro)
         first = run_search(cfg, ev, budget=1)[0]
         failed_genome = next(g for g in enumerate_genomes(1) if g != first.genome)
-        failure = {**first.to_json_dict(), "iteration": 1, "genome": failed_genome.to_json_dict()}
-        append_log_line(cfg.log_path, {**failure, "objectives": None, "meta": {"failed": True}})
+        failure = replace(first, iteration=1, genome=failed_genome, objectives=None, meta={"failed": True})
+        append_log_line(cfg.log_path, failure.to_json_dict())
         seen = []
         original = optimize._random_unevaluated
 
@@ -810,13 +815,14 @@ pathlib.Path("response.json").write_text(json.dumps(response))
         ev, _ = build_evaluator(spec, cfg.macro)
         records = run_search(cfg, ev)
         assert len(records) == 2
-        successes, failures = split_log_entries(read_log(cfg.log_path))
-        assert len(successes) == 2 and len(failures) == 1
-        assert failures[0]["meta"]["attempts"] == attempts
-        assert failures[0]["meta"]["error"].startswith(error)
+        entries = read_log(cfg.log_path)
+        failures = [e for e in entries if e.objectives is None]
+        assert len(entries) == 3 and len(failures) == 1
+        assert failures[0].meta["attempts"] == attempts
+        assert failures[0].meta["error"].startswith(error)
         launches = [json.loads(line) for line in (workdir / "launches.txt").read_text().splitlines()]
         first = json.loads((workdir / "first.json").read_text())
-        assert failures[0]["genome"] == first
+        assert failures[0].genome.to_json_dict() == first
         assert launches.count(first) == attempts
         assert len(launches) == attempts + 2
 
@@ -832,7 +838,7 @@ pathlib.Path("response.json").write_text(json.dumps(response))
         run_search(cfg, ev)
         request = json.loads((workdir / "request.json").read_text())
         assert request["device"] == "external"
-        assert {e["device"] for e in read_log(cfg.log_path)} == {"external"}
+        assert {e.device for e in read_log(cfg.log_path)} == {"external"}
 
 
 class TestRunRandom:
