@@ -52,10 +52,9 @@ def _positive_int(value: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a positive integer, got {value!r}")
 
 
-def _subset_arg(value: str | None):
-    if value is None:
-        return None
-    return normalize_subset([v.strip() for v in value.split(",") if v.strip()])
+def _subset_arg(value: str | None) -> tuple[str, ...]:
+    """The ``--objectives`` comma list as a normalized subset; all three when it is not given."""
+    return normalize_subset(None if value is None else [v.strip() for v in value.split(",") if v.strip()])
 
 
 def _run_command(args, runner) -> int:
@@ -82,7 +81,7 @@ def cmd_pareto(args) -> int:
     records = load_records(args.log)
     if not records:
         raise ValueError(f"log {args.log} contains no records")
-    subset = _subset_arg(args.objectives) or normalize_subset(None)
+    subset = _subset_arg(args.objectives)
 
     def front_payload(recs):
         return [
@@ -167,7 +166,7 @@ def cmd_export(args) -> int:
     records = load_records(args.log)
     if not records:
         raise ValueError(f"log {args.log} contains no records")
-    subset = _subset_arg(args.objectives) or normalize_subset(None)
+    subset = _subset_arg(args.objectives)
     front_ids = {id(r) for r in pareto_filter(records, subset)}
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:

@@ -145,14 +145,15 @@ class RunConfig:
 class SearchState:
     """Mutable loop state shared with the proposal step.
 
-    ``history`` only grows; :meth:`history_codes` keeps its encodings as an
-    int matrix and :meth:`history_objectives` its objectives in model space,
-    each record converted once.  ``excluded`` holds the rank (an int, see
-    :func:`~hwnas.search_space.ranks`) of every genome measured or failed;
-    none is proposed again.  Warm-up is decided by the caller, which passes
-    no models to :func:`propose_next` until it fits them.  ``pool_meta``
-    holds the last model-guided proposal's pool sizes, and is empty after a
-    warm-up proposal or the empty-pool fallback.
+    Records enter through :meth:`add` alone, the constructor's ``history``
+    included.  ``history`` holds the measured records in order, ``codes``
+    their encodings as an int matrix and ``objectives`` their objectives in
+    model space, one row per record.  ``excluded`` holds the rank (an int,
+    see :func:`~hwnas.search_space.ranks`) of every genome measured or
+    failed; none is proposed again.  Warm-up is decided by the caller,
+    which passes no models to :func:`propose_next` until it fits them.
+    ``pool_meta`` holds the last model-guided proposal's pool sizes, and is
+    empty after a warm-up proposal or the empty-pool fallback.
     """
 
     history: list[EvaluationRecord]
@@ -160,28 +161,34 @@ class SearchState:
     num_blocks: int
     excluded: set[int] = field(default_factory=set)
     pool_meta: dict[str, int] = field(default_factory=dict)
-    _codes: np.ndarray = field(init=False, repr=False, compare=False)
-    _objectives: np.ndarray = field(init=False, repr=False, compare=False)
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
+    objectives: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._codes = np.empty((0, FIELDS_PER_BLOCK * self.num_blocks), dtype=np.int64)
-        self._objectives = np.empty((0, len(self.objective_subset)))
+        records, self.history = self.history, []
+        self.codes = np.empty((0, FIELDS_PER_BLOCK * self.num_blocks), dtype=np.int64)
+        self.objectives = np.empty((0, len(self.objective_subset)))
+        self.add(records)
 
-    def history_codes(self) -> np.ndarray:
-        """(len(history), 4 nb) matrix of the history's encoded genomes, in history order."""
-        new = self.history[len(self._codes) :]
-        if new:
-            self._codes = np.vstack([self._codes, [encode(r.genome) for r in new]])
-        return self._codes
+    def add(self, records: list[EvaluationRecord]) -> None:
+        """Exclude each record's genome; the measured ones also join the history.
 
-    def history_objectives(self) -> np.ndarray:
-        """(len(history), len(subset)) matrix of the history's transformed objectives, in history order."""
-        new = self.history[len(self._objectives) :]
-        if new:
+        Each genome is encoded once.  A failure event (no objectives) is
+        only excluded.
+        """
+        if not records:
+            return
+        codes = np.array([encode(r.genome) for r in records], dtype=np.int64)
+        self.excluded.update(ranks(codes).tolist())
+        kept = [r.objectives is not None for r in records]
+        measured = [r for r, keep in zip(records, kept) if keep]
+        if measured:
             subset = self.objective_subset
-            rows = transform_values(objective_matrix(new, subset), subset)
-            self._objectives = np.vstack([self._objectives, rows])
-        return self._objectives
+            self.history.extend(measured)
+            self.codes = np.vstack([self.codes, codes[kept]])
+            self.objectives = np.vstack(
+                [self.objectives, transform_values(objective_matrix(measured, subset), subset)]
+            )
 
 
 def reference_point(history_values_t: np.ndarray) -> np.ndarray:
@@ -197,13 +204,11 @@ def reference_point(history_values_t: np.ndarray) -> np.ndarray:
 
 def _fit_models(state: SearchState, seed_key: list[int]) -> dict[str, gp.GPModel]:
     """One GP per objective of ``state.objective_subset`` on the state's history."""
-    codes = state.history_codes()
-    transformed = state.history_objectives()
-    X = gp.featurize_codes(codes)
+    X = gp.featurize_codes(state.codes)
     # Every objective is fit on the same rows, so their distance table is shared.
-    table = gp.hamming_table(codes, codes)
+    table = gp.hamming_table(state.codes, state.codes)
     return {
-        name: gp.fit(X, transformed[:, j], seed=seed_key + [j], table=table)
+        name: gp.fit(X, state.objectives[:, j], seed=seed_key + [j], table=table)
         for j, name in enumerate(state.objective_subset)
     }
 
@@ -271,7 +276,7 @@ def propose_next(
     front = pareto_filter(state.history, subset)
     on_front = {id(r) for r in front}
     front_mask = [id(r) in on_front for r in state.history]
-    parents = state.history_codes()[front_mask]
+    parents = state.codes[front_mask]
     randoms = random_codes(rng, state.num_blocks, POOL_RANDOM)
     if len(parents) > POOL_PARENTS:
         parents = parents[np.sort(rng.choice(len(parents), POOL_PARENTS, replace=False))]
@@ -289,10 +294,9 @@ def propose_next(
         "pool_candidates": len(candidates),
     }
 
-    history_t = state.history_objectives()
-    ref = reference_point(history_t)
-    front_t = history_t[front_mask]
-    means, stds = _posteriors(models, subset, gp.hamming_table(candidates, state.history_codes()))
+    ref = reference_point(state.objectives)
+    front_t = state.objectives[front_mask]
+    means, stds = _posteriors(models, subset, gp.hamming_table(candidates, state.codes))
     # Duplicate objective rows add nothing to the union of boxes; dedupe for speed.
     front_unique = np.unique(front_t, axis=0) if front_t.shape[0] else front_t
     # Only the rows that can still win are scored; a row's score does not
@@ -315,10 +319,11 @@ def _config_fingerprint(config: RunConfig, source: str) -> dict:
     }
 
 
-def _check_resume(config: RunConfig, records: list[EvaluationRecord], source: str) -> None:
-    if not records:
+def _check_resume(config: RunConfig, entries: list[EvaluationRecord], source: str) -> None:
+    """Refuse a log whose fingerprint (in its first measured record) disagrees with ``config``."""
+    meta = next((entry.meta for entry in entries if entry.objectives is not None), None)
+    if meta is None:
         return
-    meta = records[0].meta
     expected = _config_fingerprint(config, source)
     for key, want in expected.items():
         have = meta.get(key)
@@ -412,8 +417,7 @@ def _run(
             if mended:
                 print(f"warning: {mended}", file=sys.stderr)
             entries = read_log(config.log_path)
-            state.history = [entry for entry in entries if entry.objectives is not None]
-            _check_resume(config, state.history, source)
+            _check_resume(config, entries, source)
             # read_log has checked that every genome has the first one's block count.
             # A log of failures only has no fingerprint, and a rank means nothing in another space.
             blocks = entries[0].genome.num_blocks if entries else config.num_blocks
@@ -421,7 +425,7 @@ def _run(
                 raise ConfigMismatchError(
                     f"existing log's genomes have {blocks} blocks, config has num_blocks={config.num_blocks}"
                 )
-            state.excluded = {int(ranks(encode(entry.genome))) for entry in entries}
+            state.add(entries)
 
         while len(state.history) < budget:
             iteration = len(state.history)
@@ -431,12 +435,7 @@ def _run(
             # A GP needs two observations, so n_init = 1 still starts with two randoms.
             if source == SOURCE_BO and iteration >= max(config.n_init, 2):
                 models = _fit_models(state, [config.seed, iteration])
-            if source == SOURCE_RANDOM:
-                genome = _random_unevaluated(rng, state)
-            else:
-                genome = propose_next(state, models, rng)
-            # Measured or failed, it is not proposed again.
-            state.excluded.add(int(ranks(encode(genome))))
+            genome = propose_next(state, models, rng)
 
             objectives, error, attempts = _evaluate_with_retries(evaluator, genome)
             if objectives is None:
@@ -455,14 +454,12 @@ def _run(
             )
             if config.log_path:
                 append_log_line(config.log_path, record.to_json_dict())
-            if objectives is None:
-                # Budget is not consumed; the genome is excluded, so the
-                # deterministic proposal cannot loop on it forever.
-                if verbose:
-                    print(f"[{source}] iteration {iteration}: evaluation failed: {error}")
-                continue
-            state.history.append(record)
-            if verbose:
+            # Measured or failed, the genome is not proposed again.  A failure
+            # does not consume budget: the deterministic proposal moves past it.
+            state.add([record])
+            if verbose and objectives is None:
+                print(f"[{source}] iteration {iteration}: evaluation failed: {error}")
+            elif verbose:
                 print(
                     f"[{source}] iteration {iteration}: error={objectives.error:.4f} "
                     f"energy={objectives.energy_j:.4g}J time={objectives.time_s:.4g}s"

@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 from scipy.special import ndtr
 
-from .records import EvaluationRecord, ObjectiveVector, normalize_subset, objective_matrix
+from .records import EvaluationRecord, ObjectiveVector, objective_matrix
 
 # Elements per (candidates, boxes) intermediate of the EHVI, so that the few
 # alive at once fit in a core's L2 cache.
@@ -164,17 +164,6 @@ def hypervolume_values(values: np.ndarray, ref: np.ndarray) -> float:
         raise ValueError("values must be (n, d) matching the reference dimension")
     boxes = dominated_boxes(values, ref)
     return float(np.sum(np.prod(boxes[:, 1] - boxes[:, 0], axis=1)))
-
-
-def hypervolume(points: list[ObjectiveVector], ref: ObjectiveVector, subset=None) -> float:
-    """Hypervolume of objective vectors over the chosen subset (size 1 to 3).
-
-    Points that do not strictly dominate the reference are excluded, not errors.
-    """
-    sel = normalize_subset(subset)
-    ref_v = np.asarray(ref.values(sel), dtype=float)
-    vals = np.array([p.values(sel) for p in points], dtype=float).reshape(len(points), len(sel))
-    return hypervolume_values(vals, ref_v)
 
 
 def _expected_shortfall(a: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:

@@ -175,3 +175,47 @@ def test_failure_event_log_matches_golden(tmp_path):
         part.write_text("".join(lines[: end + 1]))
         run_search(replace(cfg, log_path=str(part)), failing_evaluator(cfg))
         assert part.read_bytes() == golden, f"resumed after line {end + 1}"
+
+
+def test_resumed_state_is_the_live_state(tmp_path, monkeypatch):
+    """Resumed from each prefix of ``b1_failures.jsonl``, the first proposal sees the state the live run saw there."""
+
+    class Seen(Exception):
+        pass
+
+    def snapshot(state):
+        return (
+            list(state.history),
+            set(state.excluded),
+            state.codes.dtype,
+            state.codes.shape,
+            state.codes.tobytes(),
+            state.objectives.shape,
+            state.objectives.tobytes(),
+        )
+
+    propose_next = optimize.propose_next
+    live = []
+
+    def record_live(state, models, rng):
+        live.append(snapshot(state))
+        return propose_next(state, models, rng)
+
+    cfg = RunConfig(log_path=str(tmp_path / "live.jsonl"), **FAILURE_CONFIG)
+    monkeypatch.setattr(optimize, "propose_next", record_live)
+    run_search(cfg, failing_evaluator(cfg))
+    lines = (DATA / "b1_failures.jsonl").read_bytes().decode().splitlines(keepends=True)
+    assert len(live) == len(lines)
+
+    def record_resumed(state, models, rng):
+        resumed.append(snapshot(state))
+        raise Seen
+
+    monkeypatch.setattr(optimize, "propose_next", record_resumed)
+    for end, want in enumerate(live):
+        part = tmp_path / f"part{end}.jsonl"
+        part.write_text("".join(lines[:end]))
+        resumed = []
+        with pytest.raises(Seen):
+            run_search(replace(cfg, log_path=str(part)), failing_evaluator(cfg))
+        assert resumed == [want], f"resumed after line {end}"

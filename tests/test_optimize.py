@@ -433,12 +433,31 @@ def random_history_state(n):
 def test_history_objectives_grow_to_the_transformed_matrix(subset):
     records = [make_record((0.1 + 0.01 * i, 2.0**i, 0.5 / (i + 1) if i else 0.0), i=i) for i in range(12)]
     state = SearchState(history=records[:5], objective_subset=normalize_subset(subset), num_blocks=5)
-    assert state.history_objectives().shape == (5, len(state.objective_subset))
+    assert state.objectives.shape == (5, len(state.objective_subset))
     for record in records[5:]:
-        state.history.append(record)
-        state.history_objectives()
+        state.add([record])
     expected = transform_values(objective_matrix(records, subset), subset)
-    assert state.history_objectives().tobytes() == expected.tobytes()
+    assert state.objectives.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("subset", [None, ("error", "time")])
+@pytest.mark.parametrize("cuts", [(), (1,), (2, 3), (5, 5, 17), tuple(range(1, 40))])
+def test_one_add_is_the_adds_of_its_parts(subset, cuts):
+    # b1_failures.jsonl mixes measured records and failure events, two of them in a row.
+    entries = read_log(Path(__file__).parent / "data" / "b1_failures.jsonl")
+    assert any(e.objectives is None for e in entries)
+    whole = SearchState(history=[], objective_subset=normalize_subset(subset), num_blocks=1)
+    whole.add(entries)
+    parts = SearchState(history=[], objective_subset=normalize_subset(subset), num_blocks=1)
+    bounds = (0, *cuts, len(entries))
+    for start, end in zip(bounds, bounds[1:]):
+        parts.add(entries[start:end])
+    assert parts.history == whole.history == [e for e in entries if e.objectives is not None]
+    assert parts.excluded == whole.excluded == rank_set(e.genome for e in entries)
+    for name in ("codes", "objectives"):
+        got, want = getattr(parts, name), getattr(whole, name)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert whole.codes.tolist() == [list(encode(r.genome)) for r in whole.history]
 
 
 class TestPoolCap:

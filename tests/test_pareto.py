@@ -10,7 +10,6 @@ from hwnas import pareto
 from hwnas.pareto import (
     dominated_boxes,
     dominates,
-    hypervolume,
     hypervolume_improvements,
     hypervolume_values,
     non_dominated_mask,
@@ -188,12 +187,6 @@ class TestParetoFilter:
 
 
 class TestHypervolume:
-    def test_unit_box(self):
-        pts = [ObjectiveVector(0.5, 1.0, 1.0)]
-        ref = ObjectiveVector(1.0, 2.0, 2.0)
-        # (error, energy) 2-D: (1 - 0.5) * (2 - 1) = 0.5
-        assert hypervolume(pts, ref, ("error", "energy")) == pytest.approx(0.5)
-
     def test_inclusion_exclusion_2d(self):
         assert hypervolume_values(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([3.0, 3.0])) == pytest.approx(3.0)
 
