@@ -14,13 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .search_space import (
-    CellGenome,
-    GenomeError,
-    Operation,
-    unused_block_outputs,
-    validate_genome,
-)
+from .search_space import CellGenome, Operation, unused_block_outputs
 
 KIND_INPUT = "input"
 KIND_OP = "op"
@@ -214,9 +208,6 @@ def _append_cell(
     stride: int,
 ) -> int:
     """Append one cell reading from two earlier nodes; returns the concat output id."""
-    violations = validate_genome(genome)
-    if violations:
-        raise GenomeError("; ".join(violations))
     if filters < 1:
         raise BuildError("filters must be >= 1")
     if stride not in (1, 2):
@@ -321,21 +312,17 @@ def network_costs(genome: CellGenome, macro: MacroConfig) -> tuple[int, int]:
     O(1): with F working filters, a cell's ops weigh ``square*F^2 +
     linear*F`` (conv k: k^2 F^2; sep k: k^2 F + F^2), and every weighted
     node, the 1x1 projections included, costs its weights times H'W' MACs.
-    Max pooling adds k^2 H'W'F and each block's add H'W'F.
+    Max pooling adds k^2 H'W'F and each block's add H'W'F.  The concat
+    width comes from :func:`unused_block_outputs`; the genome, valid once
+    built, is not checked again.
     """
-    violations = validate_genome(genome)
-    if violations:
-        raise GenomeError("; ".join(violations))
     square = linear = per_element = 0
     external: set[int] = set()
-    consumed: set[int] = set()
     for blk in genome.blocks:
         per_element += 1  # the block's add
         for ref, op in ((blk.input1, blk.op1), (blk.input2, blk.op2)):
             if ref < 2:
                 external.add(ref)
-            else:
-                consumed.add(ref - 2)
             k2 = op.kernel_size**2
             family = op.family
             if family == "conv":
@@ -345,7 +332,7 @@ def network_costs(genome: CellGenome, macro: MacroConfig) -> tuple[int, int]:
                 linear += k2
             elif family == "max":
                 per_element += k2
-    concat_width = genome.num_blocks - len(consumed)
+    concat_width = len(unused_block_outputs(genome))
 
     shape = macro.input_shape
     prev = prev_prev = (shape.height, shape.width, shape.channels)

@@ -127,7 +127,9 @@ class EvaluationRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EvaluationRecord":
-        objectives = d["objectives"]
+        objectives, meta = d["objectives"], d.get("meta")
+        if not isinstance(meta, (dict, type(None))):
+            raise TypeError(f"meta must be a JSON object or null, got {meta!r}")
         return cls(
             genome=CellGenome.from_json_dict(d["genome"]),
             objectives=None if objectives is None else ObjectiveVector.from_json_dict(objectives),
@@ -135,7 +137,7 @@ class EvaluationRecord:
             iteration=int(d["iteration"]),
             source=str(d["source"]),
             timestamp=str(d["timestamp"]),
-            meta=dict(d.get("meta") or {}),
+            meta={} if meta is None else dict(meta),
         )
 
 

@@ -8,8 +8,9 @@ genome with ``nb`` blocks therefore encodes to ``4 * nb`` integers, position
 ``i`` ranging over ``radices(nb)[i]`` values.
 
 The search loop samples and mutates these integer codes directly
-(:func:`random_codes`, :func:`mutate`); :class:`CellGenome` is the validated
-form used at the JSON, CLI and evaluator boundary, converted with
+(:func:`random_codes`, :func:`mutate`); :class:`CellGenome`, which checks
+itself by :func:`validate_genome` when built and so is never checked again,
+is the form used at the JSON, CLI and evaluator boundary, converted with
 :func:`encode` and :func:`decode`.  A genome's identity in the loop is its
 mixed-radix rank (:func:`ranks`), its index in :func:`enumerate_genomes`
 order; :func:`unrank` turns ranks back into codes.
@@ -97,9 +98,14 @@ class BlockSpec:
 
 @dataclass(frozen=True)
 class CellGenome:
-    """An ordered sequence of building blocks (5 in the standard search space)."""
+    """An ordered sequence of building blocks (5 in the standard search space); valid once built."""
 
     blocks: tuple[BlockSpec, ...]
+
+    def __post_init__(self) -> None:
+        violations = validate_genome(self)
+        if violations:
+            raise GenomeError("; ".join(violations))
 
     @property
     def num_blocks(self) -> int:
@@ -119,6 +125,8 @@ class CellGenome:
         for row in rows:
             if len(row) != FIELDS_PER_BLOCK:
                 raise GenomeError(f"genome block row must have 4 entries, got {row!r}")
+            if any(type(v) is not int for v in row):
+                raise GenomeError(f"genome block row must hold JSON ints, got {row!r}")
         return decode([v for row in rows for v in row], len(rows))
 
 
@@ -153,12 +161,6 @@ def validate_genome(genome: CellGenome) -> list[str]:
     return violations
 
 
-def _require_valid(genome: CellGenome) -> None:
-    violations = validate_genome(genome)
-    if violations:
-        raise GenomeError("; ".join(violations))
-
-
 @lru_cache
 def radices(num_blocks: int) -> np.ndarray:
     """Number of legal values of each encoded position (read-only, block-major)."""
@@ -188,8 +190,7 @@ def random_genome(rng: np.random.Generator, num_blocks: int = NUM_BLOCKS) -> Cel
 
 
 def encode(genome: CellGenome) -> tuple[int, ...]:
-    """Flatten to the block-major integer vector (I1, I2, O1, O2 per block)."""
-    _require_valid(genome)
+    """Flatten to the block-major integer vector (I1, I2, O1, O2 per block); checks nothing."""
     out: list[int] = []
     for blk in genome.blocks:
         out.extend((blk.input1, blk.input2, int(blk.op1), int(blk.op2)))
@@ -197,7 +198,7 @@ def encode(genome: CellGenome) -> tuple[int, ...]:
 
 
 def decode(vector: Iterable[int], num_blocks: int | None = None) -> CellGenome:
-    """Inverse of :func:`encode`; validates length, codes, and input bounds."""
+    """Inverse of :func:`encode`; checks length and codes; :class:`CellGenome` checks input bounds."""
     vec = [int(v) for v in vector]
     if num_blocks is None:
         if len(vec) == 0 or len(vec) % FIELDS_PER_BLOCK != 0:
@@ -210,9 +211,7 @@ def decode(vector: Iterable[int], num_blocks: int | None = None) -> CellGenome:
     blocks = tuple(
         _block(*vec[FIELDS_PER_BLOCK * b : FIELDS_PER_BLOCK * (b + 1)]) for b in range(num_blocks)
     )
-    g = CellGenome(blocks)
-    _require_valid(g)
-    return g
+    return CellGenome(blocks)
 
 
 @lru_cache(maxsize=4096)
@@ -244,7 +243,6 @@ def unused_block_outputs(genome: CellGenome) -> set[int]:
     These are the outputs concatenated to form the cell output; the last
     block's output can never be consumed, so it is always present.
     """
-    _require_valid(genome)
     used = set()
     for blk in genome.blocks:
         for ref in (blk.input1, blk.input2):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -366,6 +367,10 @@ class TestEnumerateCommand:
         assert len(table["rows"]) == 256
         front_rows = [r for r in table["rows"] if r["is_pareto"]]
         assert 0 < len(front_rows) < 256
+        # Every 1-block genome through decode, network_costs and the
+        # evaluator, pinned byte for byte; CI pins the 2-block table too.
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "52ca9e6895809abba9006e79ea853d4f39ec5a7868992581333035fd1309e7af"
 
     def test_front_is_what_pareto_filter_keeps(self, tmp_path):
         out = tmp_path / "table.json"

@@ -71,10 +71,15 @@ MALFORMED_ENTRIES = {
     "failure without iteration": lambda rec: _without("iteration", _failure(rec)),
     "record with a non-object genome": lambda rec: {**rec, "genome": [[0, 0, 1, 1]]},
     "record with an unknown operation": lambda rec: {**rec, "genome": {"blocks": [[0, 0, 9, 1]]}},
+    "record with a fractional input": lambda rec: {**rec, "genome": {"blocks": [[0, 1.9, 1, 1]]}},
+    "record with a text operation": lambda rec: {**rec, "genome": {"blocks": [[0, 1, "1", 1]]}},
+    "record with boolean inputs": lambda rec: {**rec, "genome": {"blocks": [[True, False, 1, 1]]}},
     "record with list objectives": lambda rec: {**rec, "objectives": [0.1, 1.0, 1.0]},
     "record with a text error": lambda rec: {**rec, "objectives": {**rec["objectives"], "error": "low"}},
     "record with a text iteration": lambda rec: {**rec, "iteration": "two"},
     "record with a number for meta": lambda rec: {**rec, "meta": 5},
+    "record with a list for meta": lambda rec: {**rec, "meta": [["failed", True]]},
+    "record with empty text for meta": lambda rec: {**rec, "meta": ""},
     "failure with a text genome": lambda rec: {**_failure(rec), "genome": "cell"},
     "failure with a null iteration": lambda rec: {**_failure(rec), "iteration": None},
     "failure without device": lambda rec: _without("device", _failure(rec)),

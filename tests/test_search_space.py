@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -54,11 +55,11 @@ class TestOperations:
 
 
 class TestValidate:
+    """A ``CellGenome`` refuses to be built with what ``validate_genome`` finds."""
+
     def test_block0_input_index_2_is_violation(self):
-        g = genome_from_rows([[2, 0, 1, 1]] + [[0, 1, 1, 1]] * 4)
-        violations = validate_genome(g)
-        assert len(violations) == 1
-        assert "block 0" in violations[0] and "2" in violations[0]
+        with pytest.raises(GenomeError, match=r"^block 0: input1 index 2 outside 0\.\.1$"):
+            genome_from_rows([[2, 0, 1, 1]] + [[0, 1, 1, 1]] * 4)
 
     def test_minimal_legal_indices_ok(self):
         assert validate_genome(all_identity_genome()) == []
@@ -66,17 +67,51 @@ class TestValidate:
     def test_block4_input_bounds_by_enumeration(self):
         # Legal input set for block b is exactly {0..b+1}.
         for b in range(5):
-            rows = [[0, 1, 1, 1]] * 5
-            legal = set(range(input_bound(b)))
             for idx in range(8):
-                rows_b = [list(r) for r in rows]
-                rows_b[b][0] = idx
-                g = genome_from_rows(rows_b)
-                assert (validate_genome(g) == []) == (idx in legal)
+                rows = [[0, 1, 1, 1] for _ in range(5)]
+                rows[b][0] = idx
+                if idx < input_bound(b):
+                    assert genome_from_rows(rows).blocks[b].input1 == idx
+                    continue
+                message = rf"^block {b}: input1 index {idx} outside 0\.\.{b + 1}$"
+                with pytest.raises(GenomeError, match=message):
+                    genome_from_rows(rows)
 
     def test_block4_index_6_is_violation(self):
         rows = [[0, 1, 1, 1]] * 4 + [[6, 0, 1, 1]]
-        assert validate_genome(genome_from_rows(rows)) != []
+        with pytest.raises(GenomeError, match=r"^block 4: input1 index 6 outside 0\.\.5$"):
+            genome_from_rows(rows)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda nb: st.lists(
+                st.tuples(
+                    st.integers(-2, 2 + nb),
+                    st.integers(-2, 2 + nb),
+                    st.sampled_from(Operation),
+                    st.sampled_from(Operation),
+                ),
+                min_size=nb,
+                max_size=nb,
+            )
+        )
+    )
+    def test_built_exactly_when_every_input_is_in_bounds(self, rows):
+        bounds = radices(len(rows))
+        offending = [
+            f"block {b}: input{k + 1} index {row[k]} outside 0..{bounds[4 * b + k] - 1}"
+            for b, row in enumerate(rows)
+            for k in (0, 1)
+            if not 0 <= row[k] < bounds[4 * b + k]
+        ]
+        blocks = tuple(BlockSpec(*row) for row in rows)
+        if offending:
+            with pytest.raises(GenomeError) as info:
+                CellGenome(blocks)
+            assert str(info.value) == "; ".join(offending)
+        else:
+            assert CellGenome(blocks).blocks == blocks
 
 
 class TestRandomGenome:
@@ -158,15 +193,16 @@ class TestEncodeDecode:
             assert g == genome_from_rows([row[i : i + 4] for i in range(0, 20, 4)])
             assert encode(g) == tuple(row)
 
-    def test_encode_rejects_invalid_genome(self):
-        g = genome_from_rows([[3, 0, 1, 1]] + [[0, 1, 1, 1]] * 4)
-        with pytest.raises(GenomeError):
-            encode(g)
-
     def test_json_round_trip(self):
         rng = np.random.default_rng(12)
         g = random_genome(rng)
         assert CellGenome.from_json_dict(g.to_json_dict()) == g
+
+    @pytest.mark.parametrize("row", [[0, 1.9, 1, 1], [0, 1.0, 1, 1], [0, "1", 1, 1], [True, False, 1, 1]])
+    def test_json_entries_must_be_ints(self, row):
+        message = f"^genome block row must hold JSON ints, got {re.escape(repr(row))}$"
+        with pytest.raises(GenomeError, match=message):
+            CellGenome.from_json_dict({"blocks": [row]})
 
 
 class TestSearchSpaceSize:
