@@ -150,21 +150,16 @@ class DeviceProfile:
     """Per-device trace threshold plus coefficients for the synthetic evaluator.
 
     The synthetic model is deliberately simple: time is MACs over throughput,
-    energy is active power times time plus a per-parameter memory term, and
-    error decays exponentially with parameter count.  The error coefficients
-    are identical across built-in profiles because classification error does
-    not depend on the inference device.
+    and energy is active power times time plus a per-parameter memory term.
+    Error is not a profile's: it depends on the network alone (see
+    :func:`synthetic_evaluate`).
     """
 
     name: str
     threshold_w: float
-    notes: str = ""
     throughput_macs: float = 1e12
     active_power_w: float = 100.0
     mem_energy_per_param_j: float = 1e-8
-    error_floor: float = 0.05
-    error_ceiling: float = 0.40
-    error_scale_params: float = 1.5e6
 
     def __post_init__(self) -> None:
         if self.threshold_w <= 0:
@@ -172,26 +167,26 @@ class DeviceProfile:
 
 
 BUILTIN_PROFILES = {
+    # GTX TITAN X: 3072 CUDA cores, 6.7 TFLOPS FP32, 12 GB GDDR5 @ 336.6 GB/s, 250 W
     "titanx": DeviceProfile(
         name="titanx",
         threshold_w=80.0,
-        notes="GTX TITAN X: 3072 CUDA cores, 6.7 TFLOPS FP32, 12 GB GDDR5 @ 336.6 GB/s, 250 W",
         throughput_macs=2.0e12,
         active_power_w=180.0,
         mem_energy_per_param_j=2e-8,
     ),
+    # Jetson TX2: 256 CUDA cores, 1.5 TFLOPS FP32, 8 GB LPDDR4 @ 59.7 GB/s, 15 W
     "jetson-tx2": DeviceProfile(
         name="jetson-tx2",
         threshold_w=1.0,
-        notes="Jetson TX2: 256 CUDA cores, 1.5 TFLOPS FP32, 8 GB LPDDR4 @ 59.7 GB/s, 15 W",
         throughput_macs=2.5e11,
         active_power_w=10.0,
         mem_energy_per_param_j=5e-8,
     ),
+    # Movidius NCS: Myriad 2 VPU, 2 TFLOPS FP16, 4 Gbit LPDDR3 @ 4 Gbit/s, 1 W
     "movidius-ncs": DeviceProfile(
         name="movidius-ncs",
         threshold_w=0.45,
-        notes="Movidius NCS: Myriad 2 VPU, 2 TFLOPS FP16, 4 Gbit LPDDR3 @ 4 Gbit/s, 1 W",
         throughput_macs=8.0e10,
         active_power_w=0.9,
         mem_energy_per_param_j=8e-8,
@@ -258,6 +253,13 @@ def measure_from_trace(trace: PowerTrace, profile: DeviceProfile) -> dict:
     }
 
 
+# The synthetic error falls from the ceiling towards the floor as
+# exp(-params / scale): one model for every device.
+ERROR_FLOOR = 0.05
+ERROR_CEILING = 0.40
+ERROR_SCALE_PARAMS = 1.5e6
+
+
 def synthetic_evaluate(
     genome: CellGenome,
     macro: MacroConfig,
@@ -275,9 +277,7 @@ def synthetic_evaluate(
     params, macs = network_costs(genome, macro)
     time_s = macs / profile.throughput_macs
     energy_j = time_s * profile.active_power_w + params * profile.mem_energy_per_param_j
-    error = profile.error_floor + (profile.error_ceiling - profile.error_floor) * float(
-        np.exp(-params / profile.error_scale_params)
-    )
+    error = ERROR_FLOOR + (ERROR_CEILING - ERROR_FLOOR) * float(np.exp(-params / ERROR_SCALE_PARAMS))
     if noise > 0:
         rng = np.random.default_rng([int(seed)] + [v + 1 for v in encode(genome)])
         error += float(rng.uniform(-noise, noise))

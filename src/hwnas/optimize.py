@@ -146,21 +146,23 @@ class SearchState:
     """Mutable loop state shared with the proposal step.
 
     Records enter through :meth:`add` alone, the constructor's ``history``
-    included.  ``history`` holds the measured records in order, ``codes``
-    their encodings as an int matrix and ``objectives`` their objectives in
-    model space, one row per record.  ``excluded`` holds the rank (an int,
-    see :func:`~hwnas.search_space.ranks`) of every genome measured or
-    failed; none is proposed again.  Warm-up is decided by the caller,
-    which passes no models to :func:`propose_next` until it fits them.
-    ``pool_meta`` holds the last model-guided proposal's pool sizes, and is
-    empty after a warm-up proposal or the empty-pool fallback.
+    included: ``excluded`` and ``pool_meta`` are not constructor arguments,
+    so every exclusion is a record's.  ``history`` holds the measured
+    records in order, ``codes`` their encodings as an int matrix and
+    ``objectives`` their objectives in model space, one row per record.
+    ``excluded`` holds the rank (an int, see
+    :func:`~hwnas.search_space.ranks`) of every genome measured or failed;
+    none is proposed again.  Warm-up is decided by the caller, which passes
+    no models to :func:`propose_next` until it fits them.  ``pool_meta``
+    holds the last model-guided proposal's pool sizes, and is empty after a
+    warm-up proposal or the empty-pool fallback.
     """
 
     history: list[EvaluationRecord]
     objective_subset: tuple[str, ...]
     num_blocks: int
-    excluded: set[int] = field(default_factory=set)
-    pool_meta: dict[str, int] = field(default_factory=dict)
+    excluded: set[int] = field(init=False, default_factory=set)
+    pool_meta: dict[str, int] = field(init=False, default_factory=dict)
     codes: np.ndarray = field(init=False, repr=False, compare=False)
     objectives: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -297,12 +299,10 @@ def propose_next(
     ref = reference_point(state.objectives)
     front_t = state.objectives[front_mask]
     means, stds = _posteriors(models, subset, gp.hamming_table(candidates, state.codes))
-    # Duplicate objective rows add nothing to the union of boxes; dedupe for speed.
-    front_unique = np.unique(front_t, axis=0) if front_t.shape[0] else front_t
     # Only the rows that can still win are scored; a row's score does not
     # depend on the others, so the first argmax is the whole pool's.
-    rows, boxes = contenders(front_unique, ref, means, stds)
-    scores = hypervolume_improvements(front_unique, ref, means[rows], stds[rows], boxes=boxes)
+    rows, boxes = contenders(front_t, ref, means, stds)
+    scores = hypervolume_improvements(front_t, ref, means[rows], stds[rows], boxes=boxes)
     return decode(candidates[rows[int(np.argmax(scores))]], state.num_blocks)
 
 
@@ -397,15 +397,8 @@ def _evaluate_with_retries(
 
 
 def _run(
-    config: RunConfig,
-    evaluator: Evaluator,
-    budget: int | None,
-    source: str,
-    verbose: bool = False,
+    config: RunConfig, evaluator: Evaluator, source: str, verbose: bool = False
 ) -> list[EvaluationRecord]:
-    budget = config.budget if budget is None else budget
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     subset = config.objective_subset
     _, device = build_evaluator(config.evaluator, config.macro)
 
@@ -427,7 +420,7 @@ def _run(
                 )
             state.add(entries)
 
-        while len(state.history) < budget:
+        while len(state.history) < config.budget:
             iteration = len(state.history)
             rng = np.random.default_rng([config.seed, iteration])
 
@@ -467,24 +460,14 @@ def _run(
     return state.history
 
 
-def run_search(
-    config: RunConfig,
-    evaluator: Evaluator,
-    budget: int | None = None,
-    verbose: bool = False,
-) -> list[EvaluationRecord]:
-    """Model-guided search to the budget; resumes from an existing log if present."""
-    return _run(config, evaluator, budget, SOURCE_BO, verbose)
+def run_search(config: RunConfig, evaluator: Evaluator, verbose: bool = False) -> list[EvaluationRecord]:
+    """Model-guided search to ``config.budget``; resumes from an existing log if present."""
+    return _run(config, evaluator, SOURCE_BO, verbose)
 
 
-def run_random(
-    config: RunConfig,
-    evaluator: Evaluator,
-    budget: int | None = None,
-    verbose: bool = False,
-) -> list[EvaluationRecord]:
-    """Uniform-random baseline: every proposal is a fresh random genome (no duplicates)."""
-    return _run(config, evaluator, budget, SOURCE_RANDOM, verbose)
+def run_random(config: RunConfig, evaluator: Evaluator, verbose: bool = False) -> list[EvaluationRecord]:
+    """Uniform-random baseline to ``config.budget``: each proposal a fresh random genome (no duplicates)."""
+    return _run(config, evaluator, SOURCE_RANDOM, verbose)
 
 
 def reevaluate_cross_device(

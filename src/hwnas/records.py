@@ -31,6 +31,14 @@ class LogError(ValueError):
     """Corrupt or inconsistent run-log content."""
 
 
+def _typed(d: dict, name: str, kinds: tuple[type, ...], what: str):
+    """``d[name]``, refused unless its type is exactly one of ``kinds``: no value is converted."""
+    value = d[name]
+    if type(value) not in kinds:  # a bool is not an int here
+        raise TypeError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def normalize_subset(subset) -> tuple[str, ...]:
     """Canonicalize an objective subset to (error, energy, time) order."""
     if subset is None:
@@ -71,7 +79,8 @@ class ObjectiveVector:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ObjectiveVector":
-        return cls(float(d["error"]), float(d["energy_j"]), float(d["time_s"]))
+        names = ("error", "energy_j", "time_s")
+        return cls(*(float(_typed(d, name, (int, float), "a number")) for name in names))
 
 
 def transform_values(values: np.ndarray, subset) -> np.ndarray:
@@ -133,10 +142,10 @@ class EvaluationRecord:
         return cls(
             genome=CellGenome.from_json_dict(d["genome"]),
             objectives=None if objectives is None else ObjectiveVector.from_json_dict(objectives),
-            device=str(d["device"]),
-            iteration=int(d["iteration"]),
-            source=str(d["source"]),
-            timestamp=str(d["timestamp"]),
+            device=_typed(d, "device", (str,), "a string"),
+            iteration=_typed(d, "iteration", (int,), "an integer"),
+            source=_typed(d, "source", (str,), "a string"),
+            timestamp=_typed(d, "timestamp", (str,), "a string"),
             meta={} if meta is None else dict(meta),
         )
 

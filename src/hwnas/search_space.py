@@ -225,15 +225,15 @@ def search_space_size(num_blocks: int) -> int:
     return math.prod(radices(num_blocks).tolist())
 
 
-def enumerate_genomes(num_blocks: int, cap: int = ENUMERATION_CAP) -> Iterator[CellGenome]:
+def enumerate_genomes(num_blocks: int) -> Iterator[CellGenome]:
     """Yield every legal genome exactly once, ascending in encoding order.
 
-    Refuses spaces larger than ``cap`` to prevent accidental full expansion
-    of the (astronomically large) default space.
+    Refuses spaces larger than ``ENUMERATION_CAP`` to prevent accidental
+    full expansion of the (astronomically large) default space.
     """
     size = search_space_size(num_blocks)
-    if size > cap:
-        raise ValueError(f"search space size {size} exceeds enumeration cap {cap}")
+    if size > ENUMERATION_CAP:
+        raise ValueError(f"search space size {size} exceeds enumeration cap {ENUMERATION_CAP}")
     return (decode(vec, num_blocks) for vec in unrank(np.arange(size), num_blocks).tolist())
 
 

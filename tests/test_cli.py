@@ -37,6 +37,19 @@ class TestSearchCommand:
         assert len(load_records(cfg["log_path"])) == 6
         assert "6 records" in capsys.readouterr().out
 
+    def test_verbose_prints_each_record_before_the_summary(self, tmp_path, capsys):
+        cfg_path, cfg = write_config(tmp_path)
+        assert main(["search", "--config", str(cfg_path), "--verbose"]) == 0
+        *progress, summary = capsys.readouterr().out.splitlines()
+        records = load_records(cfg["log_path"])
+        assert progress == [
+            f"[bo] iteration {i}: error={r.objectives.error:.4f} "
+            f"energy={r.objectives.energy_j:.4g}J time={r.objectives.time_s:.4g}s"
+            for i, r in enumerate(records)
+        ]
+        assert [r.iteration for r in records] == list(range(6))
+        assert summary.startswith("6 records in ")
+
     def test_rerun_is_idempotent(self, tmp_path):
         cfg_path, cfg = write_config(tmp_path)
         assert main(["search", "--config", str(cfg_path)]) == 0

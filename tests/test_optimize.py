@@ -84,6 +84,14 @@ MALFORMED_ENTRIES = {
     "failure with a null iteration": lambda rec: {**_failure(rec), "iteration": None},
     "failure without device": lambda rec: _without("device", _failure(rec)),
     "failure with a number for meta": lambda rec: {**_failure(rec), "meta": 5},
+    # Values of the wrong JSON type are refused, not converted.
+    "record with a float iteration": lambda rec: {**rec, "iteration": 2.0},
+    "record with a numeral text iteration": lambda rec: {**rec, "iteration": "2"},
+    "record with a null device": lambda rec: {**rec, "device": None},
+    "record with a number for source": lambda rec: {**rec, "source": 5},
+    "record with a number for timestamp": lambda rec: {**rec, "timestamp": 2},
+    "record with a numeral text error": lambda rec: {**rec, "objectives": {**rec["objectives"], "error": "0.5"}},
+    "record with a boolean time": lambda rec: {**rec, "objectives": {**rec["objectives"], "time_s": True}},
 }
 
 
@@ -103,6 +111,15 @@ def small_config(tmp_path=None, **kw):
 def rank_set(genomes):
     """The genomes' ranks, as ``SearchState.excluded`` holds them."""
     return {int(ranks(encode(g))) for g in genomes}
+
+
+def failure_events(genomes):
+    """One failure event per genome: records that exclude the genomes and measure nothing."""
+    return [
+        EvaluationRecord(genome=g, objectives=None, device="dev", iteration=0, source="random",
+                         timestamp=logical_timestamp(0), meta={"failed": True})
+        for g in genomes
+    ]
 
 
 def make_record(values, i=0, genome=None, device="dev", source="random"):
@@ -301,12 +318,7 @@ class TestProposeNext:
             make_record(tuple(synthetic_evaluate(g, macro, prof).values()), i=i, genome=g)
             for i, g in enumerate(genomes[:255])
         ]
-        state = SearchState(
-            history=records,
-            objective_subset=normalize_subset(None),
-            num_blocks=1,
-            excluded=rank_set(r.genome for r in records),
-        )
+        state = SearchState(history=records, objective_subset=normalize_subset(None), num_blocks=1)
         X = featurize_batch([r.genome for r in records])
         T = transform_values(objective_matrix(records), None)
         models = {name: fit(X, T[:, j], seed=j) for j, name in enumerate(normalize_subset(None))}
@@ -321,8 +333,7 @@ class TestProposeNext:
         genomes = [random_genome(rng, nb) for _ in range(30)]
         records = [make_record(tuple(synthetic_evaluate(g, macro, prof).values()), i=i, genome=g)
                    for i, g in enumerate(genomes)]
-        state = SearchState(history=records, objective_subset=normalize_subset(None),
-                            num_blocks=nb, excluded=rank_set(genomes))
+        state = SearchState(history=records, objective_subset=normalize_subset(None), num_blocks=nb)
         pools, real_unique_codes = [], optimize.unique_codes
 
         def kept_pool(codes):
@@ -338,12 +349,9 @@ class TestProposeNext:
 
     def test_space_exhausted(self):
         genomes = list(enumerate_genomes(1))
-        state = SearchState(
-            history=[],
-            objective_subset=normalize_subset(None),
-            num_blocks=1,
-            excluded=rank_set(genomes),
-        )
+        state = SearchState(history=failure_events(genomes), objective_subset=normalize_subset(None),
+                            num_blocks=1)
+        assert state.history == [] and state.excluded == rank_set(genomes)
         with pytest.raises(SpaceExhaustedError):
             propose_next(state, None, np.random.default_rng(0))
 
@@ -373,8 +381,8 @@ class TestProposeNext:
         # the fallback picks; leaving none must raise.
         genomes = list(enumerate_genomes(1))
         excluded = [g for i, g in enumerate(genomes) if i not in left]
-        state = SearchState(history=[], objective_subset=normalize_subset(None),
-                            num_blocks=1, excluded=rank_set(excluded))
+        state = SearchState(history=failure_events(excluded), objective_subset=normalize_subset(None),
+                            num_blocks=1)
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         try:
             want = self.listed_random_unevaluated(want_rng, {encode(g) for g in excluded}, 1)
@@ -399,8 +407,7 @@ class TestProposeNext:
             make_record(tuple(synthetic_evaluate(g, macro, prof).values()), i=i, genome=g)
             for i, g in enumerate(g for j, g in enumerate(genomes) if j not in left)
         ]
-        state = SearchState(history=records, objective_subset=normalize_subset(None),
-                            num_blocks=1, excluded=rank_set(r.genome for r in records))
+        state = SearchState(history=records, objective_subset=normalize_subset(None), num_blocks=1)
         models = _fit_models(state, [0, len(records)]) if fit else None
         decoded, real_decode = [], optimize.decode
 
@@ -424,12 +431,7 @@ def random_history_state(n):
     for i in range(n):
         g = random_genome(rng, 5)
         records.append(make_record(tuple(synthetic_evaluate(g, macro, prof).values()), i=i, genome=g))
-    state = SearchState(
-        history=records,
-        objective_subset=normalize_subset(None),
-        num_blocks=5,
-        excluded=rank_set(r.genome for r in records),
-    )
+    state = SearchState(history=records, objective_subset=normalize_subset(None), num_blocks=5)
     models = _fit_models(state, [0, n])
     return state, models
 
@@ -463,6 +465,13 @@ def test_one_add_is_the_adds_of_its_parts(subset, cuts):
         got, want = getattr(parts, name), getattr(whole, name)
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
     assert whole.codes.tolist() == [list(encode(r.genome)) for r in whole.history]
+
+
+def test_state_takes_its_exclusions_from_records_alone():
+    with pytest.raises(TypeError):
+        SearchState(history=[], objective_subset=normalize_subset(None), num_blocks=1, excluded={0})
+    with pytest.raises(TypeError):
+        SearchState(history=[], objective_subset=normalize_subset(None), num_blocks=1, pool_meta={})
 
 
 class TestPoolCap:
@@ -590,7 +599,7 @@ class TestRunSearch:
     def test_config_mismatch_refused(self, tmp_path):
         cfg = small_config(tmp_path)
         ev, _ = build_evaluator(SYNTH, cfg.macro)
-        run_search(cfg, ev, budget=3)
+        run_search(replace(cfg, budget=3), ev)
         other = small_config(tmp_path, seed=99)
         with pytest.raises(ConfigMismatchError):
             run_search(other, ev)
@@ -598,7 +607,7 @@ class TestRunSearch:
     def test_macro_mismatch_refused(self, tmp_path):
         cfg = small_config(tmp_path)
         ev, _ = build_evaluator(SYNTH, cfg.macro)
-        run_search(cfg, ev, budget=3)
+        run_search(replace(cfg, budget=3), ev)
         other = replace(cfg, macro=MacroConfig(N=5, F=64))
         with pytest.raises(ConfigMismatchError, match="macro"):
             run_search(other, ev)
@@ -606,7 +615,7 @@ class TestRunSearch:
     def test_log_without_macro_key_refused_untouched(self, tmp_path):
         cfg = small_config(tmp_path)
         ev, _ = build_evaluator(SYNTH, cfg.macro)
-        run_search(cfg, ev, budget=3)
+        run_search(replace(cfg, budget=3), ev)
         lines = Path(cfg.log_path).read_text().splitlines()
         first = json.loads(lines[0])
         assert first["meta"].pop("macro") == cfg.macro.to_json_dict()
@@ -624,7 +633,7 @@ class TestRunSearch:
         cfg = small_config(tmp_path)
         ev, _ = build_evaluator(SYNTH, cfg.macro)
         run = run_search if mode == "search" else run_random
-        run(cfg, ev, budget=3)
+        run(replace(cfg, budget=3), ev)
         lines = Path(cfg.log_path).read_text().splitlines()
         first = json.loads(lines[0])
         assert first["meta"]["search"] == SEARCH_VERSION
@@ -716,7 +725,7 @@ class TestRunSearch:
 
         cfg = small_config(tmp_path)
         ev, _ = build_evaluator(SYNTH, cfg.macro)
-        run_search(cfg, ev, budget=4)
+        run_search(replace(cfg, budget=4), ev)
         lines = Path(cfg.log_path).read_bytes().split(b"\n")
         corrupt = b"\n".join(lines[:2] + [b"{not json"] + lines[2:])
         Path(cfg.log_path).write_bytes(corrupt)
@@ -731,7 +740,7 @@ class TestRunSearch:
 
         cfg = small_config(tmp_path)
         ev, _ = build_evaluator(SYNTH, cfg.macro)
-        run_search(cfg, ev, budget=4)
+        run_search(replace(cfg, budget=4), ev)
         lines = Path(cfg.log_path).read_text().splitlines()
         lines[2] = json.dumps(MALFORMED_ENTRIES[name](json.loads(lines[2])))
         Path(cfg.log_path).write_text("\n".join(lines) + "\n")
@@ -779,9 +788,9 @@ class TestRunSearch:
     def test_resume_excludes_the_logged_failures(self, tmp_path, monkeypatch):
         from hwnas.records import append_log_line
 
-        cfg = small_config(tmp_path)
+        cfg = small_config(tmp_path, n_init=1)
         ev, _ = build_evaluator(SYNTH, cfg.macro)
-        first = run_search(cfg, ev, budget=1)[0]
+        first = run_search(replace(cfg, budget=1), ev)[0]
         failed_genome = next(g for g in enumerate_genomes(1) if g != first.genome)
         failure = replace(first, iteration=1, genome=failed_genome, objectives=None, meta={"failed": True})
         append_log_line(cfg.log_path, failure.to_json_dict())
@@ -793,7 +802,7 @@ class TestRunSearch:
             return original(rng, state)
 
         monkeypatch.setattr(optimize, "_random_unevaluated", spy)
-        records = run_search(cfg, ev, budget=2)
+        records = run_search(replace(cfg, budget=2), ev)
         assert len(records) == 2
         assert seen[0] == rank_set([first.genome, failed_genome])
 
@@ -972,6 +981,12 @@ class TestRunConfig:
             RunConfig(budget=5, n_init=6)
         with pytest.raises(ValueError):
             RunConfig(budget=5, n_init=0)
+
+    @pytest.mark.parametrize("run", [run_search, run_random])
+    def test_the_config_holds_the_only_budget(self, run):
+        # A budget passed beside the config could skip the rule above.
+        with pytest.raises(TypeError):
+            run(small_config(n_init=3), lambda g: None, budget=2)
 
     @pytest.mark.parametrize(
         "bad",

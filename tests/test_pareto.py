@@ -323,6 +323,21 @@ class TestGridProperties:
             assert hypervolume_values(np.vstack([V, redundant]), ref) == base
             assert hypervolume_values(np.vstack([redundant, V[::-1]]), ref) == base
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_repeated_rows_leave_the_boxes_bit_identical(self, data):
+        # The search passes its front's objective rows, copies included, as they are.
+        d = data.draw(st.integers(1, 3))
+        cell = st.one_of(st.integers(0, 3).map(float), st.floats(-3, 3).map(lambda v: v + 0.0))
+        rows = data.draw(st.lists(st.tuples(*[cell] * d), min_size=1, max_size=12, unique=True))
+        points = np.array(rows, dtype=float)
+        picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=8))
+        repeated = np.vstack([points, points[picks]])
+        repeated = repeated[data.draw(st.permutations(range(len(repeated))))]
+        ref = np.max(points, axis=0) + data.draw(st.sampled_from([-1.0, 0.0, 0.5]))
+        alone, with_copies = dominated_boxes(points, ref), dominated_boxes(repeated, ref)
+        assert with_copies.shape == alone.shape and with_copies.tobytes() == alone.tobytes()
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(front=grid_fronts(), data=st.data())
     def test_point_gain_matches_grid_oracle(self, front, data):

@@ -242,10 +242,11 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_genomes(5)
 
-    def test_custom_cap(self):
-        with pytest.raises(ValueError):
-            enumerate_genomes(1, cap=100)
-        assert ENUMERATION_CAP == 1_000_000
+    def test_three_blocks_exceed_the_cap(self):
+        # 37.7M genomes; two blocks (147,456) are enumerated above.
+        assert search_space_size(3) > ENUMERATION_CAP == 1_000_000
+        with pytest.raises(ValueError, match="exceeds enumeration cap 1000000"):
+            enumerate_genomes(3)
 
 
 class TestUnusedOutputs:
