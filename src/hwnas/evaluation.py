@@ -23,7 +23,7 @@ import numpy as np
 
 # perfbench/tracing.py rebinds evaluation.build_network, so the name stays importable here.
 from .network import MacroConfig, build_network, network_costs  # noqa: F401
-from .records import ObjectiveVector
+from .records import ObjectiveVector, _typed
 from .search_space import CellGenome, encode
 
 
@@ -299,9 +299,9 @@ _TRAINING_DEFAULTS = {
 
 
 def _parse_response(raw: dict, workdir: Path) -> ObjectiveVector:
+    """The measurement in ``raw``; as in the run log, no value is converted (a bool is not a number)."""
     if "error" not in raw:
         raise ResponseError("response.json missing 'error'")
-    error = float(raw["error"])
     direct = "energy_j" in raw and "time_s" in raw
     traced = "trace_path" in raw
     if direct == traced:
@@ -309,10 +309,11 @@ def _parse_response(raw: dict, workdir: Path) -> ObjectiveVector:
             "response.json must carry exactly one of {energy_j,time_s} or {trace_path,threshold_w}"
         )
     if direct:
-        return ObjectiveVector(error=error, energy_j=float(raw["energy_j"]), time_s=float(raw["time_s"]))
+        return ObjectiveVector.from_json_dict(raw)
     if "threshold_w" not in raw:
         raise ResponseError("trace response requires 'threshold_w'")
-    trace_path = Path(raw["trace_path"])
+    error = float(_typed(raw, "error", (int, float), "a number"))
+    trace_path = Path(_typed(raw, "trace_path", (str,), "a string"))
     if not trace_path.is_absolute():
         trace_path = workdir / trace_path
     if not trace_path.exists():
@@ -321,7 +322,7 @@ def _parse_response(raw: dict, workdir: Path) -> ObjectiveVector:
         trace = PowerTrace.from_csv(trace_path)
     except OSError as exc:  # a directory, or a file that cannot be opened
         raise ResponseError(f"trace file could not be read: {exc}") from exc
-    t1, t2 = segment_trace(trace, float(raw["threshold_w"]))
+    t1, t2 = segment_trace(trace, float(_typed(raw, "threshold_w", (int, float), "a number")))
     return ObjectiveVector(
         error=error,
         energy_j=integrate_energy(trace, t1, t2),

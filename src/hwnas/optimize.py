@@ -21,7 +21,7 @@ import numpy as np
 from . import gp
 from .evaluation import ResponseError, build_evaluator
 from .network import MacroConfig
-from .pareto import contenders, hypervolume_improvements, pareto_filter
+from .pareto import contenders, hypervolume_improvements, non_dominated_mask, pareto_filter
 from .records import (
     SOURCE_BO,
     SOURCE_RANDOM,
@@ -60,7 +60,7 @@ POOL_MUTATIONS_PER_PARETO = 10
 # Front members mutated per proposal; a larger front gives a uniform draw of this many.
 POOL_PARENTS = 50
 # Bumped by each declared change to what the search proposes.  A log's first
-# record holds it, and resume refuses a log written by another version.
+# line holds it, and resume refuses a log written by another version.
 SEARCH_VERSION = 1
 RANDOM_ATTEMPTS = 200
 EVALUATOR_RETRIES = 3
@@ -146,23 +146,20 @@ class SearchState:
     """Mutable loop state shared with the proposal step.
 
     Records enter through :meth:`add` alone, the constructor's ``history``
-    included: ``excluded`` and ``pool_meta`` are not constructor arguments,
-    so every exclusion is a record's.  ``history`` holds the measured
-    records in order, ``codes`` their encodings as an int matrix and
-    ``objectives`` their objectives in model space, one row per record.
-    ``excluded`` holds the rank (an int, see
-    :func:`~hwnas.search_space.ranks`) of every genome measured or failed;
-    none is proposed again.  Warm-up is decided by the caller, which passes
-    no models to :func:`propose_next` until it fits them.  ``pool_meta``
-    holds the last model-guided proposal's pool sizes, and is empty after a
-    warm-up proposal or the empty-pool fallback.
+    included: ``excluded`` is not a constructor argument, so every
+    exclusion is a record's.  ``history`` holds the measured records in
+    order, ``codes`` their encodings as an int matrix and ``objectives``
+    their objectives in model space, one row per record.  ``excluded`` holds
+    the rank (an int, see :func:`~hwnas.search_space.ranks`) of every genome
+    measured or failed; none is proposed again.  Warm-up is decided by the
+    caller, which passes no models to :func:`propose_next` until it fits
+    them.  :func:`propose_next` reads the state and writes nothing to it.
     """
 
     history: list[EvaluationRecord]
     objective_subset: tuple[str, ...]
     num_blocks: int
     excluded: set[int] = field(init=False, default_factory=set)
-    pool_meta: dict[str, int] = field(init=False, default_factory=dict)
     codes: np.ndarray = field(init=False, repr=False, compare=False)
     objectives: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -256,23 +253,22 @@ def propose_next(
     state: SearchState,
     models: dict[str, gp.GPModel] | None,
     rng: np.random.Generator,
-) -> CellGenome:
-    """Next genome to evaluate.
+) -> tuple[CellGenome, dict[str, int]]:
+    """(next genome to evaluate, the sizes of the pool it won).
 
     Warm-up (no models) proposes a random unevaluated genome.  Otherwise
     the candidate pool is 500 random genomes plus 10 single-field mutations
     of each of up to 50 Pareto genomes (a uniform draw, in history order,
     when the front is larger), minus everything already evaluated; the
-    acquisition argmax wins, ties broken by lowest encoding.  The pool's
-    sizes go to ``state.pool_meta``.
+    acquisition argmax wins, ties broken by lowest encoding.  The sizes are
+    empty for a warm-up proposal and for the empty-pool fallback.
 
     ``models`` (one per objective of ``state.objective_subset``) must be fit
     on ``state.history``, in order, as the search loop fits them: the pool is
     scored against the history's codes.
     """
-    state.pool_meta = {}
     if models is None:
-        return _random_unevaluated(rng, state)
+        return _random_unevaluated(rng, state), {}
 
     subset = state.objective_subset
     front = pareto_filter(state.history, subset)
@@ -288,8 +284,8 @@ def propose_next(
     pool_ranks = ranks(pool)  # int64, or Python ints past int64: the set's array takes this dtype
     candidates = pool[~np.isin(pool_ranks, np.array(list(state.excluded), dtype=pool_ranks.dtype))]
     if not len(candidates):
-        return _random_unevaluated(rng, state)
-    state.pool_meta = {
+        return _random_unevaluated(rng, state), {}
+    sizes = {
         "front_size": len(front),
         "pool_parents": len(parents),
         "pool_unique": len(pool),
@@ -303,7 +299,7 @@ def propose_next(
     # depend on the others, so the first argmax is the whole pool's.
     rows, boxes = contenders(front_t, ref, means, stds)
     scores = hypervolume_improvements(front_t, ref, means[rows], stds[rows], boxes=boxes)
-    return decode(candidates[rows[int(np.argmax(scores))]], state.num_blocks)
+    return decode(candidates[rows[int(np.argmax(scores))]], state.num_blocks), sizes
 
 
 def _config_fingerprint(config: RunConfig, source: str) -> dict:
@@ -320,13 +316,22 @@ def _config_fingerprint(config: RunConfig, source: str) -> dict:
 
 
 def _check_resume(config: RunConfig, entries: list[EvaluationRecord], source: str) -> None:
-    """Refuse a log whose fingerprint (in its first measured record) disagrees with ``config``."""
-    meta = next((entry.meta for entry in entries if entry.objectives is not None), None)
-    if meta is None:
+    """Refuse a log written under another configuration; an empty log has nothing to check.
+
+    ``read_log`` has checked that every genome has line 1's block count, and
+    a rank means nothing in another space, so that count must be the
+    config's.  Line 1, measured or failed, holds the fingerprint.
+    """
+    if not entries:
         return
-    expected = _config_fingerprint(config, source)
-    for key, want in expected.items():
-        have = meta.get(key)
+    first = entries[0]
+    if first.genome.num_blocks != config.num_blocks:
+        raise ConfigMismatchError(
+            f"existing log's genomes have {first.genome.num_blocks} blocks, "
+            f"config has num_blocks={config.num_blocks}"
+        )
+    for key, want in _config_fingerprint(config, source).items():
+        have = first.meta.get(key)
         if have == want:
             continue
         if key == "search":
@@ -411,13 +416,6 @@ def _run(
                 print(f"warning: {mended}", file=sys.stderr)
             entries = read_log(config.log_path)
             _check_resume(config, entries, source)
-            # read_log has checked that every genome has the first one's block count.
-            # A log of failures only has no fingerprint, and a rank means nothing in another space.
-            blocks = entries[0].genome.num_blocks if entries else config.num_blocks
-            if blocks != config.num_blocks:
-                raise ConfigMismatchError(
-                    f"existing log's genomes have {blocks} blocks, config has num_blocks={config.num_blocks}"
-                )
             state.add(entries)
 
         while len(state.history) < config.budget:
@@ -428,14 +426,9 @@ def _run(
             # A GP needs two observations, so n_init = 1 still starts with two randoms.
             if source == SOURCE_BO and iteration >= max(config.n_init, 2):
                 models = _fit_models(state, [config.seed, iteration])
-            genome = propose_next(state, models, rng)
+            genome, sizes = propose_next(state, models, rng)
 
             objectives, error, attempts = _evaluate_with_retries(evaluator, genome)
-            if objectives is None:
-                meta = {"failed": True, "error": error, "attempts": attempts}
-            else:
-                meta = _config_fingerprint(config, source) if iteration == 0 else {}
-                meta.update(state.pool_meta)
             record = EvaluationRecord(
                 genome=genome,
                 objectives=objectives,
@@ -443,7 +436,12 @@ def _run(
                 iteration=iteration,
                 source=source,
                 timestamp=logical_timestamp(iteration),
-                meta=meta,
+                # Every record enters state.excluded, so it is empty only before
+                # line 1, which holds the config's fingerprint, measured or failed.
+                meta={
+                    **({} if state.excluded else _config_fingerprint(config, source)),
+                    **(sizes if error is None else {"failed": True, "error": error, "attempts": attempts}),
+                },
             )
             if config.log_path:
                 append_log_line(config.log_path, record.to_json_dict())
@@ -520,14 +518,11 @@ def reevaluate_cross_device(
         rows.append(row)
 
     merged = reevaluated + list(target_records or [])
-    merged_front = pareto_filter(merged, subset)
-    merged_front_ids = {id(r) for r in merged_front}
-    reeval_iter = iter(reevaluated)
-    for row in rows:
-        if row["target_objectives"] is None:
-            continue
-        rec = next(reeval_iter)
-        row["dominated_on_target"] = id(rec) not in merged_front_ids
+    on_front = non_dominated_mask(objective_matrix(merged, subset))
+    # The re-evaluated records come first in ``merged``, in the order of their rows.
+    for row, kept in zip([row for row in rows if row["target_objectives"] is not None], on_front):
+        row["dominated_on_target"] = not kept
+    merged_front = [r for r, kept in zip(merged, on_front) if kept]
 
     return {
         "objective_subset": list(subset),

@@ -531,6 +531,25 @@ class TestExternalEvaluate:
             external_evaluate(sample_request(), write_adapter(tmp_path, ADAPTER_FAIL), tmp_path, timeout_s=30)
         assert not isinstance(failure.value, ResponseError)
 
+    @pytest.mark.parametrize(
+        "response, message",
+        [
+            ({"error": "0.5", "energy_j": 2.0, "time_s": 0.05}, "error must be a number, got '0.5'"),
+            ({"error": False, "energy_j": 2.0, "time_s": 0.05}, "error must be a number, got False"),
+            ({"error": 0.25, "energy_j": True, "time_s": 0.05}, "energy_j must be a number, got True"),
+            ({"error": 0.25, "energy_j": 2.0, "time_s": "1e-2"}, "time_s must be a number, got '1e-2'"),
+            ({"error": 0.1, "trace_path": "trace.csv", "threshold_w": "1.0"}, "threshold_w must be a number"),
+            # Only the prefix is matched: Path() would refuse a number too, without naming the field.
+            ({"error": 0.1, "trace_path": 5, "threshold_w": 1.0}, ""),
+        ],
+        ids=["text-error", "boolean-error", "boolean-energy", "text-time", "text-threshold", "number-trace-path"],
+    )
+    def test_response_value_of_another_json_type_refused(self, tmp_path, response, message):
+        constant_trace().to_csv(tmp_path / "trace.csv")
+        body = f"import json, pathlib\npathlib.Path('response.json').write_text(json.dumps({response!r}))\n"
+        with pytest.raises(ResponseError, match=re.escape(f"malformed response: {message}")):
+            external_evaluate(sample_request(), write_adapter(tmp_path, body), tmp_path, timeout_s=30)
+
     def test_timeout(self, tmp_path):
         cmd = write_adapter(tmp_path, "#!/usr/bin/env python3\nimport time\ntime.sleep(5)\n")
         with pytest.raises(EvaluatorError, match="timed out"):

@@ -7,16 +7,19 @@ them passing; a change to the search on purpose replaces them, bumps
 ``optimize.SEARCH_VERSION`` and says so.
 """
 
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwnas import optimize
 from hwnas.evaluation import PowerTrace, build_evaluator
-from hwnas.optimize import RunConfig, run_random, run_search
+from hwnas.optimize import ConfigMismatchError, RunConfig, run_random, run_search
 
 DATA = Path(__file__).parent / "data"
 
@@ -175,6 +178,85 @@ def test_failure_event_log_matches_golden(tmp_path):
         part.write_text("".join(lines[: end + 1]))
         run_search(replace(cfg, log_path=str(part)), failing_evaluator(cfg))
         assert part.read_bytes() == golden, f"resumed after line {end + 1}"
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(cut=st.integers(0, (DATA / "b1_failures.jsonl").stat().st_size))
+def test_resume_after_a_cut_at_any_byte(tmp_path_factory, cut):
+    """A run killed mid-write leaves any byte prefix of its log; the resume gives the golden bytes."""
+    golden = (DATA / "b1_failures.jsonl").read_bytes()
+    log = tmp_path_factory.mktemp("cut") / "b1_failures.jsonl"
+    log.write_bytes(golden[:cut])
+    cfg = RunConfig(log_path=str(log), **FAILURE_CONFIG)
+    run_search(cfg, failing_evaluator(cfg))
+    assert log.read_bytes() == golden
+
+
+# Seed 11's first warm-up genome fails, so line 1 is a failure event.
+FAILS_FIRST_CONFIG = {**FAILURE_CONFIG, "seed": 11}
+
+
+def test_fails_first_log_matches_golden(tmp_path):
+    """Line 1, a failure event, holds the config's fingerprint; no later line does.
+
+    Resumed from every prefix, the run appends the same lines.
+    """
+    log = tmp_path / "b1_fails_first.jsonl"
+    cfg = RunConfig(log_path=str(log), **FAILS_FIRST_CONFIG)
+    run_search(cfg, failing_evaluator(cfg))
+    golden = (DATA / "b1_fails_first.jsonl").read_bytes()
+    assert log.read_bytes() == golden
+
+    lines = golden.decode().splitlines(keepends=True)
+    entries = [json.loads(line) for line in lines]
+    failed = [i for i, entry in enumerate(entries) if entry["objectives"] is None]
+    assert failed[0] == 0 and len(failed) > 1
+    assert entries[0]["meta"]["seed"] == 11 and entries[0]["meta"]["failed"] is True
+    assert not any("search" in entry["meta"] for entry in entries[1:])
+    for end in range(len(lines) + 1):
+        part = tmp_path / f"part{end}.jsonl"
+        part.write_text("".join(lines[:end]))
+        run_search(replace(cfg, log_path=str(part)), failing_evaluator(cfg))
+        assert part.read_bytes() == golden, f"resumed after line {end}"
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(seed=5),
+        dict(evaluator={"type": "synthetic", "profile": "jetson-tx2"}),
+        dict(n_init=5),
+        dict(num_blocks=2),
+    ],
+    ids=["seed", "profile", "n_init", "num_blocks"],
+)
+def test_failures_only_prefix_refused_under_another_config(tmp_path, change):
+    """A log holding failure events only is checked against the config as any other log."""
+    lines = (DATA / "b1_fails_first.jsonl").read_text().splitlines(keepends=True)
+    prefix = "".join(itertools.takewhile(lambda line: json.loads(line)["objectives"] is None, lines))
+    assert prefix
+    log = tmp_path / "failures.jsonl"
+    log.write_text(prefix)
+    cfg = RunConfig(log_path=str(log), **{**FAILS_FIRST_CONFIG, **change})
+    with pytest.raises(ConfigMismatchError):
+        run_search(cfg, failing_evaluator(cfg))
+    assert log.read_text() == prefix
+    assert not Path(cfg.log_path + ".lock").exists()
+
+
+def test_failure_on_line_one_without_fingerprint_refused(tmp_path):
+    """A failure event on line 1 with no fingerprint, as earlier versions wrote it, is another version's log."""
+    first, *rest = (DATA / "b1_fails_first.jsonl").read_text().splitlines(keepends=True)
+    entry = json.loads(first)
+    entry["meta"] = {key: entry["meta"][key] for key in ("failed", "error", "attempts")}
+    old = json.dumps(entry, separators=(",", ":")) + "\n" + "".join(rest)
+    log = tmp_path / "old.jsonl"
+    log.write_text(old)
+    cfg = RunConfig(log_path=str(log), **FAILS_FIRST_CONFIG)
+    with pytest.raises(ConfigMismatchError, match="another version of the search.*new log"):
+        run_search(cfg, failing_evaluator(cfg))
+    assert log.read_text() == old
+    assert not Path(cfg.log_path + ".lock").exists()
 
 
 def test_resumed_state_is_the_live_state(tmp_path, monkeypatch):

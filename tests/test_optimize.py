@@ -307,8 +307,8 @@ class TestProposeNext:
     def test_warmup_is_random_valid(self):
         state = SearchState(history=[], objective_subset=normalize_subset(None),
                             num_blocks=5)
-        g = propose_next(state, None, np.random.default_rng(0))
-        assert g.num_blocks == 5
+        g, sizes = propose_next(state, None, np.random.default_rng(0))
+        assert g.num_blocks == 5 and sizes == {}
 
     def test_proposals_exclude_evaluated(self):
         macro = MacroConfig()
@@ -322,7 +322,7 @@ class TestProposeNext:
         X = featurize_batch([r.genome for r in records])
         T = transform_values(objective_matrix(records), None)
         models = {name: fit(X, T[:, j], seed=j) for j, name in enumerate(normalize_subset(None))}
-        g = propose_next(state, models, np.random.default_rng(1))
+        g, _ = propose_next(state, models, np.random.default_rng(1))
         assert encode(g) == encode(genomes[255])
 
     @pytest.mark.parametrize("nb", [5, 7])
@@ -341,11 +341,11 @@ class TestProposeNext:
             return pools[-1]
 
         monkeypatch.setattr(optimize, "unique_codes", kept_pool)
-        propose_next(state, _fit_models(state, [0, len(records)]), np.random.default_rng(1))
+        _, sizes = propose_next(state, _fit_models(state, [0, len(records)]), np.random.default_rng(1))
         evaluated = {encode(g) for g in genomes}
         unevaluated = [row for row in map(tuple, pools[0].tolist()) if row not in evaluated]
         assert len(unevaluated) < len(pools[0])  # some mutants equal their parents
-        assert state.pool_meta["pool_candidates"] == len(unevaluated)
+        assert sizes["pool_candidates"] == len(unevaluated)
 
     def test_space_exhausted(self):
         genomes = list(enumerate_genomes(1))
@@ -358,8 +358,8 @@ class TestProposeNext:
     def test_deterministic_proposals(self):
         state = SearchState(history=[], objective_subset=normalize_subset(None),
                             num_blocks=5)
-        a = propose_next(state, None, np.random.default_rng(4))
-        b = propose_next(state, None, np.random.default_rng(4))
+        a, _ = propose_next(state, None, np.random.default_rng(4))
+        b, _ = propose_next(state, None, np.random.default_rng(4))
         assert a == b
 
     @staticmethod
@@ -390,7 +390,7 @@ class TestProposeNext:
             with pytest.raises(SpaceExhaustedError):
                 propose_next(state, None, got_rng)
         else:
-            assert propose_next(state, None, got_rng) == want
+            assert propose_next(state, None, got_rng) == (want, {})
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize(
@@ -418,7 +418,7 @@ class TestProposeNext:
         monkeypatch.setattr(optimize, "decode", counted_decode)
         for name in ("random_genome", "enumerate_genomes"):
             monkeypatch.setattr(optimize, name, None)
-        g = propose_next(state, models, np.random.default_rng(3))
+        g, _ = propose_next(state, models, np.random.default_rng(3))
         assert decoded == [g] and genomes.index(g) in left
 
 
@@ -470,8 +470,6 @@ def test_one_add_is_the_adds_of_its_parts(subset, cuts):
 def test_state_takes_its_exclusions_from_records_alone():
     with pytest.raises(TypeError):
         SearchState(history=[], objective_subset=normalize_subset(None), num_blocks=1, excluded={0})
-    with pytest.raises(TypeError):
-        SearchState(history=[], objective_subset=normalize_subset(None), num_blocks=1, pool_meta={})
 
 
 class TestPoolCap:
@@ -481,14 +479,12 @@ class TestPoolCap:
         state, models = random_history_state(30)
         assert len(pareto_filter(state.history)) <= POOL_PARENTS
         capped_rng = np.random.default_rng(5)
-        capped = propose_next(state, models, capped_rng)
-        capped_meta = state.pool_meta
+        capped, capped_sizes = propose_next(state, models, capped_rng)
         monkeypatch.setattr(optimize, "POOL_PARENTS", 10**9)
         uncapped_rng = np.random.default_rng(5)
-        assert propose_next(state, models, uncapped_rng) == capped
+        assert propose_next(state, models, uncapped_rng) == (capped, capped_sizes)
         assert capped_rng.bit_generator.state == uncapped_rng.bit_generator.state
-        assert state.pool_meta == capped_meta
-        assert capped_meta["pool_parents"] == capped_meta["front_size"] == len(pareto_filter(state.history))
+        assert capped_sizes["pool_parents"] == capped_sizes["front_size"] == len(pareto_filter(state.history))
 
     def test_large_front_mutates_a_draw_of_distinct_members_in_history_order(self, monkeypatch):
         state, models = random_history_state(80)
@@ -502,7 +498,7 @@ class TestPoolCap:
             return mutate(codes, rng)
 
         monkeypatch.setattr(optimize, "mutate", spy)
-        propose_next(state, models, np.random.default_rng(2))
+        _, sizes = propose_next(state, models, np.random.default_rng(2))
         (rows,) = seen
         assert rows.shape[0] == POOL_PARENTS * POOL_MUTATIONS_PER_PARETO
         parents = rows[::POOL_MUTATIONS_PER_PARETO]
@@ -512,8 +508,8 @@ class TestPoolCap:
         indices = [position[tuple(p)] for p in parents.tolist()]
         assert all(tuple(p) in on_front for p in parents.tolist())
         assert np.all(np.diff(indices) > 0)  # distinct, in history order
-        assert state.pool_meta["front_size"] == len(front)
-        assert state.pool_meta["pool_parents"] == POOL_PARENTS
+        assert sizes["front_size"] == len(front)
+        assert sizes["pool_parents"] == POOL_PARENTS
 
     def test_pool_meta_on_model_guided_records_only(self, tmp_path):
         cfg = small_config(tmp_path, budget=12, n_init=4, num_blocks=2)
@@ -530,12 +526,34 @@ class TestPoolCap:
             assert meta["pool_parents"] == min(meta["front_size"], POOL_PARENTS)
             assert 0 < meta["pool_candidates"] <= meta["pool_unique"]
 
-    def test_warm_up_proposal_clears_pool_meta(self):
-        state, models = random_history_state(12)
-        propose_next(state, models, np.random.default_rng(0))
-        assert state.pool_meta
-        propose_next(state, None, np.random.default_rng(0))
-        assert state.pool_meta == {}
+
+@pytest.mark.parametrize("kind", ["warm-up", "fallback", "model-guided"])
+def test_a_proposal_leaves_the_state_unchanged(monkeypatch, kind):
+    """The pool sizes come back with the genome, and empty for warm-up and the empty-pool fallback."""
+    state, models = random_history_state(12)
+    if kind == "warm-up":
+        models = None
+    elif kind == "fallback":  # an empty pool leaves no candidate to score
+        monkeypatch.setattr(optimize, "unique_codes", lambda codes: codes[:0])
+
+    def snapshot():
+        return (
+            list(state.history),
+            set(state.excluded),
+            state.codes.tobytes(),
+            state.objectives.tobytes(),
+            sorted(vars(state)),
+        )
+
+    before = snapshot()
+    g, sizes = propose_next(state, models, np.random.default_rng(0))
+    assert snapshot() == before
+    assert not hasattr(state, "pool_meta")
+    assert rank_set([g]).isdisjoint(state.excluded)
+    if kind == "model-guided":
+        assert set(sizes) == {"front_size", "pool_parents", "pool_unique", "pool_candidates"}
+    else:
+        assert sizes == {}
 
 
 def test_proposal_builds_the_boxes_once(monkeypatch):
@@ -969,6 +987,16 @@ class TestReevaluate:
         rows = {tuple(r["genome"]["blocks"][0]): r for r in report["models"]}
         assert "no contact" in rows[(0, 0, 1, 1)]["error"]
         assert rows[(1, 1, 2, 2)]["target_objectives"] is not None
+
+    def test_no_target_record_leaves_an_empty_merged_front(self):
+        source = [make_record((0.2, 1.0, 1.0), i=0, genome=decode([0, 0, 1, 1]))]
+
+        def target_eval(g):
+            raise RuntimeError("no contact")
+
+        report = reevaluate_cross_device(source, None, target_eval)
+        assert report["merged_front"] == []
+        assert [row["dominated_on_target"] for row in report["models"]] == [None]
 
     def test_empty_source_rejected(self):
         with pytest.raises(ValueError):
