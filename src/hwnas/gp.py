@@ -17,17 +17,31 @@ the best of them for at most 30 evaluations.  The search is implemented in
 this module as SciPy 1.17's ``minimize(method="Powell", bounds=...)`` does
 it, so it does not depend on the installed SciPy.  Within one fit each
 hyperparameter vector is factored once; a repeat is a lookup.
+
+Each likelihood evaluation does only the work its bits depend on.  The
+search's points are float tuples, each coordinate computed with the IEEE
+operations NumPy would apply to SciPy's arrays, in the same order.  A fit
+prepares its training table once (:class:`_Gram`): the negated distances,
+and an index whose diagonal has a class of its own, so that one gather gives
+K + (noise + jitter) I with the bits of adding noise and jitter to the
+gathered diagonal in place.  The posterior's triangular solve calls LAPACK
+``trtrs`` directly, the call ``scipy.linalg.solve_triangular`` makes for a
+column-major factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isnan, sqrt
+from math import isfinite, isnan, sqrt
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 from .search_space import FIELDS_PER_BLOCK, CellGenome, encode, radices
+
+# log(2 pi) of the likelihood's normalizing term, as np.log gives it.
+_LOG_2PI = float(np.log(2.0 * np.pi))
 
 # Jitter ladder tried when the covariance factorization fails.
 _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
@@ -96,8 +110,8 @@ class KernelParams:
             raise ValueError("noise_variance must be non-negative")
 
 
-# LAPACK Cholesky factorization and solve for float64, fetched once.
-_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+# LAPACK Cholesky factorization, Cholesky solve and triangular solve for float64, fetched once.
+_potrf, _potrs, _trtrs = get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=np.float64)
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:
@@ -109,7 +123,7 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     back column-major with its upper triangle zeroed.  Raises
     ``np.linalg.LinAlgError`` when ``a`` is not positive definite.
     """
-    L, info = _potrf(a, lower=1, clean=1, overwrite_a=1)
+    L, info = _potrf(a, 1, 1, 1)  # lower, clean, overwrite_a: keyword arguments cost more
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
     return L
@@ -178,36 +192,64 @@ def hamming_table(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return 2.0 * np.flatnonzero(present), rank[hamming]
 
 
+class _Gram(NamedTuple):
+    """A training distance table as the likelihood evaluations read it, built once per table.
+
+    ``index`` is the table's index with its diagonal moved to a class of its
+    own, the last; ``neg_distances`` holds the negated unique distances and,
+    last, the diagonal's distance again.  Exponentiated, the last value is a
+    copy of the diagonal's covariance, to which the noise and jitter are
+    added, so one gather gives K + (noise + jitter) I.  A duplicate row's
+    off-diagonal entries keep the class without noise.
+    """
+
+    neg_distances: np.ndarray
+    index: np.ndarray
+
+
+def _gram(table: tuple[np.ndarray, np.ndarray]) -> _Gram:
+    """The :class:`_Gram` of a square ``table`` (unique values, index); a ``_Gram`` is returned as is."""
+    if isinstance(table, _Gram):
+        return table
+    uniq, inverse = table
+    diagonal = inverse.diagonal()
+    # Every row is at distance 0 from itself unless a feature is not finite.
+    if (diagonal != diagonal[0]).any():
+        raise ValueError("the distance table's diagonal must be one value")
+    index = inverse.copy()
+    index.flat[:: index.shape[0] + 1] = uniq.size
+    return _Gram(np.append(-uniq, -uniq[diagonal[0]]), index)
+
+
 def _factor(
-    table: tuple[np.ndarray, np.ndarray], y: np.ndarray, lengthscale: float, signal: float, noise: float
+    gram: _Gram, y: np.ndarray, lengthscale: float, signal: float, noise: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """(L, alpha, jitter) with L L^T = K + (noise + jitter) I and alpha = (L L^T)^-1 y.
 
     The first ``_JITTERS`` entry that makes the covariance factorizable wins.
-    ``potrf`` factors the covariance in place, so each retry gathers it again
-    from the table and adds ``noise``, then its jitter, to the diagonal.
+    ``potrf`` factors the covariance in place, so each retry sets the
+    diagonal's class to its covariance plus ``noise``, then its jitter, and
+    gathers the covariance again.
     """
-    uniq, inverse = table
-    values = signal * np.exp(-uniq / (2.0 * lengthscale**2))
+    neg_distances, index = gram
+    values = signal * np.exp(neg_distances / (2.0 * lengthscale**2))
+    noisy = values[-1] + noise
     for jitter in _JITTERS:
-        cov = values[inverse]
-        diagonal = cov.reshape(-1)[:: cov.shape[0] + 1]
-        diagonal += noise
-        if jitter:
-            diagonal += jitter
+        values[-1] = noisy + jitter if jitter else noisy
         try:
             # The covariance is symmetric, so its transpose is the same matrix
             # in the column-major order that lets potrf skip a copy.
-            L = cholesky(cov.T)
+            L = cholesky(values[index].T)
         except np.linalg.LinAlgError:
             continue
-        alpha, _ = _potrs(L, y, lower=1)
+        alpha, _ = _potrs(L, y, 1)  # lower
         return L, alpha, jitter
     raise GPError("covariance not positive definite after maximum jitter 1e-6")
 
 
-def _neg_lml(L: np.ndarray, alpha: np.ndarray, y: np.ndarray, log_2pi_term: float) -> float:
-    return float(0.5 * y @ alpha + np.log(L.diagonal()).sum() + log_2pi_term)
+def _neg_lml(L: np.ndarray, alpha: np.ndarray, half_y: np.ndarray, log_2pi_term: float) -> float:
+    """The negative log marginal likelihood from a factorization; ``half_y`` is ``0.5 * y``."""
+    return float(half_y.dot(alpha)) + float(np.add.reduce(np.log(L.diagonal()))) + log_2pi_term
 
 
 def log_marginal_likelihood(params: KernelParams, X: np.ndarray, y: np.ndarray) -> float:
@@ -217,9 +259,15 @@ def log_marginal_likelihood(params: KernelParams, X: np.ndarray, y: np.ndarray) 
     if X.shape[0] != y.shape[0] or y.shape[0] < 1:
         raise ValueError("X and y must agree and be non-empty")
     L, alpha, _ = _factor(
-        distance_table(X), y, params.lengthscale, params.signal_variance, params.noise_variance
+        _gram(distance_table(X)), y, params.lengthscale, params.signal_variance, params.noise_variance
     )
-    return -_neg_lml(L, alpha, y, 0.5 * y.shape[0] * np.log(2.0 * np.pi))
+    return -_neg_lml(L, alpha, 0.5 * y, 0.5 * y.shape[0] * _LOG_2PI)
+
+
+def _median(ascending: list[float]) -> float:
+    """``np.median`` of ascending values, bit for bit: the middle one, or the mean of the middle two."""
+    half = len(ascending) // 2
+    return ascending[half] if len(ascending) % 2 else (ascending[half - 1] + ascending[half]) / 2
 
 
 def _standardization(y_raw: np.ndarray) -> tuple[float, float]:
@@ -240,7 +288,7 @@ class GPModel:
         standardize: bool = True,
         table: tuple[np.ndarray, np.ndarray] | None = None,
     ):
-        """``table`` is ``distance_table(X)`` when the caller already has it."""
+        """``table`` is ``distance_table(X)`` (or its ``_Gram``) when the caller already has it."""
         self.X = np.atleast_2d(np.asarray(X, dtype=float))
         y_raw = np.asarray(y_raw, dtype=float).ravel()
         if self.X.shape[0] != y_raw.shape[0] or y_raw.shape[0] < 1:
@@ -252,7 +300,7 @@ class GPModel:
         if table is None:
             table = distance_table(self.X)
         self.L, self.alpha, jitter = _factor(
-            table, self.y, params.lengthscale, params.signal_variance, params.noise_variance
+            _gram(table), self.y, params.lengthscale, params.signal_variance, params.noise_variance
         )
         # Fold any jitter into the stored noise so L L^T reproduces K + noise*I.
         self.params = KernelParams(
@@ -275,8 +323,10 @@ class GPModel:
         k_star = (p.signal_variance * np.exp(-uniq / (2.0 * p.lengthscale**2)))[index]
         mean = k_star @ self.alpha
         # k_star is not needed after the mean, so the solve may overwrite it:
-        # k_star.T is column-major, and SciPy would otherwise copy it.
-        v = solve_triangular(self.L, k_star.T, lower=True, check_finite=False, overwrite_b=True)
+        # L and k_star.T are column-major, so trtrs copies neither.
+        v, info = _trtrs(self.L, k_star.T, lower=1, overwrite_b=1)
+        if info:
+            raise GPError(f"triangular solve failed (info {info})")
         var = self.params.signal_variance - np.sum(v**2, axis=0)
         var = np.maximum(var, 0.0)
         return (
@@ -294,16 +344,23 @@ class _OutOfEvaluations(Exception):
     """The evaluation budget ran out; the line search under way is dropped."""
 
 
-def _line_bounds(
-    x: np.ndarray, direction: np.ndarray, lower: list[float], upper: list[float]
-) -> tuple[float, float]:
+# A point or direction of the hyperparameter search: one float per coordinate.
+_Point = tuple[float, ...]
+
+
+def _moved(x: _Point, step: float, direction: _Point) -> _Point:
+    """``x + step * direction``, one coordinate at a time: NumPy's bits for the same arrays."""
+    return tuple([xi + step * di for xi, di in zip(x, direction)])
+
+
+def _line_bounds(x: _Point, direction: _Point, lower: _Point, upper: _Point) -> tuple[float, float]:
     """Step range ``(lmin, lmax)`` keeping ``x + l * direction`` in the box (``_line_for_search``).
 
     Coordinates the direction does not move are skipped; an empty range
     (``x`` outside the box) gives ``(0, 0)``.
     """
     lows, highs = [], []
-    for xi, di, lo, hi in zip(x.tolist(), direction.tolist(), lower, upper):
+    for xi, di, lo, hi in zip(x, direction, lower, upper):
         if di:
             low = (lo - xi) / di
             high = (hi - xi) / di
@@ -384,18 +441,18 @@ def _bounded_brent(f, a: float, b: float) -> tuple[float, float]:
     return xf, fx
 
 
-def _line_search(f, x, direction, fval, lower, upper):
+def _line_search(f, x: _Point, direction: _Point, fval: float, lower: _Point, upper: _Point):
     """(f, point, step) of the bounded line minimum of ``f`` from ``x`` along ``direction``.
 
     ``_linesearch_powell`` with finite bounds: the box is finite, so the step
     range is too.  A zero direction returns ``x`` and ``fval``.
     """
-    if not np.any(direction):
+    if not any(direction):
         return fval, x, direction
     lmin, lmax = _line_bounds(x, direction, lower, upper)
-    alpha, fmin = _bounded_brent(lambda a: f(x + a * direction), lmin, lmax)
-    step = alpha * direction
-    return fmin, x + step, step
+    alpha, fmin = _bounded_brent(lambda a: f(_moved(x, a, direction)), lmin, lmax)
+    step = tuple(alpha * di for di in direction)
+    return fmin, tuple(xi + si for xi, si in zip(x, step)), step
 
 
 def _powell(
@@ -408,7 +465,9 @@ def _powell(
     (``_minimize_powell``, whose helpers are named in the functions above),
     so it evaluates the same points and returns the same result.  Once
     ``_MAXFEV`` evaluations are spent, the line search under way is dropped
-    and the point before it is returned.
+    and the point before it is returned.  Points are float tuples: ``func``
+    is called with one, and each coordinate goes through the IEEE
+    operations NumPy would apply to SciPy's arrays, in the same order.
     """
     calls = 0
 
@@ -419,18 +478,17 @@ def _powell(
         calls += 1
         return func(x)
 
-    lower, upper = lower.tolist(), upper.tolist()
-    x = np.array(x0, dtype=float)
-    n = x.shape[0]
-    directions = np.eye(n)
+    lower, upper = tuple(lower.tolist()), tuple(upper.tolist())
+    x = tuple(np.asarray(x0, dtype=float).tolist())
+    directions = [tuple(row) for row in np.eye(len(x)).tolist()]
     fval = f(x)
-    x1 = x.copy()
+    x1 = x
     try:
         while True:
             fx = fval
             bigind = 0
             delta = 0.0
-            for i in range(n):
+            for i in range(len(x)):
                 fx2 = fval
                 fval, x, _ = _line_search(f, x, directions[i], fval, lower, upper)
                 if (fx2 - fval) > delta:
@@ -441,10 +499,10 @@ def _powell(
             if calls >= _MAXFEV or (isnan(fx) and isnan(fval)):
                 break
             # Extrapolate along this sweep's net move, kept inside the box.
-            direction = x - x1
-            x1 = x.copy()
+            direction = tuple(xi - x1i for xi, x1i in zip(x, x1))
+            x1 = x
             _, lmax = _line_bounds(x, direction, lower, upper)
-            fx2 = f(x + min(lmax, 1) * direction)
+            fx2 = f(_moved(x, min(lmax, 1), direction))
             if fx > fx2:
                 t = 2.0 * (fx + fx2 - 2.0 * fval)
                 temp = fx - fval - delta
@@ -453,28 +511,31 @@ def _powell(
                 t -= delta * temp * temp
                 if t < 0.0:
                     fval, x, direction = _line_search(f, x, direction, fval, lower, upper)
-                    if np.any(direction):
+                    if any(direction):
                         directions[bigind] = directions[-1]
                         directions[-1] = direction
     except _OutOfEvaluations:
         pass
-    return x, fval
+    return np.array(x), fval
 
 
 def _memoize(func):
-    """``func`` with each value kept by its argument's bytes, ``inf`` included.
+    """``func`` with each value kept by its argument's coordinates, ``inf`` included.
 
     Powell's first evaluation is the probe it starts from, and its line
     searches now and then return to a point; within one fit these are
-    lookups, not factorizations.
+    lookups, not factorizations.  The key is the point as a tuple, so an
+    array and a tuple of the same floats share it, as do -0.0 and 0.0,
+    which ``np.exp`` maps to the same hyperparameter.
     """
-    values: dict[bytes, float] = {}
+    values: dict[_Point, float] = {}
 
-    def memoized(theta: np.ndarray) -> float:
-        key = theta.tobytes()
-        if key not in values:
-            values[key] = func(theta)
-        return values[key]
+    def memoized(theta) -> float:
+        key = tuple(theta)
+        value = values.get(key)
+        if value is None:
+            value = values[key] = func(theta)
+        return value
 
     return memoized
 
@@ -505,28 +566,31 @@ def fit(
     y = (y_raw - mean) / std
     if table is None:
         table = distance_table(X)
-    log_2pi_term = 0.5 * y.shape[0] * np.log(2.0 * np.pi)
+    gram = _gram(table)
+    half_y = 0.5 * y
+    log_2pi_term = 0.5 * y.shape[0] * _LOG_2PI
 
     @_memoize
-    def neg_lml(theta: np.ndarray) -> float:
+    def neg_lml(theta: _Point) -> float:
         try:
-            L, alpha, _ = _factor(table, y, *np.exp(theta).tolist())
+            L, alpha, _ = _factor(gram, y, *np.exp(theta).tolist())
         except GPError:
             return np.inf
-        return _neg_lml(L, alpha, y, log_2pi_term)
+        return _neg_lml(L, alpha, half_y, log_2pi_term)
 
     lower, upper = _LOG_BOUNDS.T
     rng = np.random.default_rng(seed)
     starts = rng.uniform(lower, upper, size=(_N_STARTS, 3))
     # Plus one heuristic start: median-distance lengthscale, unit signal.
     uniq = table[0]
-    positive = uniq[uniq > 0]
-    med = float(np.sqrt(np.median(positive))) if positive.size else 1.0
-    heuristic = np.log(np.clip([med, 1.0, 1e-2], *np.asarray(DEFAULT_BOUNDS, dtype=float).T))
+    positive = uniq[uniq > 0].tolist()
+    med = sqrt(_median(positive)) if positive else 1.0
+    (lo, hi), _, _ = DEFAULT_BOUNDS
+    heuristic = np.log([min(max(med, lo), hi), 1.0, 1e-2])
     starts = np.vstack([heuristic, starts])
     # Probe all starts, run the local search only from the most promising one.
     probes = np.array([neg_lml(theta0) for theta0 in starts])
     theta, val = _powell(neg_lml, starts[np.argsort(probes)[0]], lower, upper)
-    if not np.isfinite(val):
+    if not isfinite(val):
         raise GPError("hyperparameter search failed for all starts")
-    return GPModel(X, y_raw, KernelParams(*np.exp(theta)), standardize=True, table=table)
+    return GPModel(X, y_raw, KernelParams(*np.exp(theta)), standardize=True, table=gram)

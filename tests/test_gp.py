@@ -14,10 +14,14 @@ import hwnas
 from hwnas import gp
 from hwnas.gp import (
     _FTOL,
+    _JITTERS,
     _LOG_BOUNDS,
     _MAXFEV,
     _N_STARTS,
     _XTOL,
+    _factor,
+    _gram,
+    _median,
     _powell,
     _squared_distances,
     GPError,
@@ -432,7 +436,8 @@ class TestPowell:
 
         def recorded(points):
             def f(theta):
-                points.append(theta.copy())
+                # SciPy passes an array, _powell a tuple of floats.
+                points.append(np.array(theta))
                 return objective(theta)
 
             return f
@@ -563,3 +568,95 @@ class TestIntegerCodePath:
         for model in models:
             for got, want in zip(model.predict_table(table), model.predict_features(F)):
                 assert got.tobytes() == want.tobytes()
+
+
+def gathered_then_added(table, lengthscale, signal, noise, jitter):
+    """Reference covariance for one jitter rung: K gathered from the table, then
+    the noise and the jitter (if any) added to its diagonal in place, in that order.
+    """
+    uniq, inverse = table
+    values = signal * np.exp(-uniq / (2.0 * lengthscale**2))
+    cov = values[inverse]
+    diagonal = cov.reshape(-1)[:: cov.shape[0] + 1]
+    diagonal += noise
+    if jitter:
+        diagonal += jitter
+    return cov
+
+
+class TestDiagonalClass:
+    """One gather through ``_gram``'s index gives K + (noise + jitter) I, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        nb=BLOCK_COUNTS,
+        n=st.integers(1, 40),
+        one_hot=st.booleans(),
+        rung=st.integers(0, len(_JITTERS) - 1),
+        noiseless=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_rung_gathers_the_added_diagonal(self, nb, n, one_hot, rung, noiseless, seed):
+        rng = np.random.default_rng(seed)
+        # Duplicate rows: their off-diagonal entries share the diagonal's distance, 0.
+        if one_hot:
+            codes, _ = code_sets(rng, nb, n, n)
+            table = hamming_table(codes, codes)
+        else:
+            X = rng.normal(size=(n, 3))
+            X[rng.integers(0, 2, size=n).astype(bool)] = X[0]
+            table = distance_table(X)
+        lengthscale, signal, noise = np.exp(rng.uniform(*_LOG_BOUNDS.T)).tolist()
+        params = (lengthscale, signal, 0.0 if noiseless else noise)
+        y = rng.normal(size=n)
+
+        # Fail the factorization until the ladder reaches ``rung``, keeping each covariance tried.
+        tried = []
+
+        def failing_until_rung(a):
+            tried.append(np.array(a))
+            if len(tried) <= rung:
+                raise np.linalg.LinAlgError("forced")
+            return cholesky(a)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gp, "cholesky", failing_until_rung)
+            try:
+                reached = _JITTERS.index(_factor(_gram(table), y, *params)[2])
+            except GPError:
+                # Noiseless duplicates may fail on every rung.
+                reached = len(_JITTERS) - 1
+        assert rung <= reached
+        assert len(tried) == reached + 1
+        for got, rung_jitter in zip(tried, _JITTERS):
+            want = gathered_then_added(table, *params, rung_jitter)
+            assert got.shape == want.shape
+            assert got.tobytes(order="F") == want.T.tobytes(order="F")
+
+    def test_ladder_exhausted_raises(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(gp, "cholesky", failing)
+        table = distance_table(np.zeros((3, 2)))
+        with pytest.raises(GPError, match="maximum jitter"):
+            _factor(_gram(table), np.ones(3), 1.0, 1.0, 0.0)
+
+    def test_gram_refuses_a_diagonal_of_two_classes(self):
+        # A row with a non-finite feature is at distance NaN from itself.
+        X = np.array([[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]])
+        with np.errstate(invalid="ignore"):
+            table = distance_table(X)
+        with pytest.raises(ValueError, match="diagonal"):
+            _gram(table)
+
+    def test_gram_of_a_gram_is_itself(self):
+        gram = _gram(distance_table(np.eye(4)))
+        assert _gram(gram) is gram
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(values=st.lists(st.floats(0.0, 1e6, exclude_min=True), min_size=1, max_size=25))
+def test_median_of_ascending_values_is_numpys(values):
+    values.sort()
+    assert np.float64(_median(values)).tobytes() == np.median(values).tobytes()
