@@ -8,11 +8,18 @@ import json
 import sys
 from pathlib import Path
 
-from .evaluation import DeviceProfile, PowerTrace, build_evaluator, get_profile, measure_from_trace
+from .evaluation import (
+    DEFAULT_PROFILE,
+    DeviceProfile,
+    PowerTrace,
+    build_evaluator,
+    get_profile,
+    measure_from_trace,
+)
 from .network import MacroConfig
 from .optimize import RunConfig, reevaluate_cross_device, run_random, run_search
 from .pareto import non_dominated_mask, pareto_filter
-from .records import load_records, normalize_subset
+from .records import load_records, normalize_subset, objective_matrix
 from .search_space import enumerate_genomes, unrank
 
 
@@ -167,21 +174,13 @@ def cmd_export(args) -> int:
     if not records:
         raise ValueError(f"log {args.log} contains no records")
     subset = _subset_arg(args.objectives)
-    front_ids = {id(r) for r in pareto_filter(records, subset)}
+    on_front = non_dominated_mask(objective_matrix(records, subset)).tolist()
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(["iteration", "error", "energy_j", "time_s", "is_pareto"])
-        for r in records:
-            writer.writerow(
-                [
-                    r.iteration,
-                    r.objectives.error,
-                    r.objectives.energy_j,
-                    r.objectives.time_s,
-                    1 if id(r) in front_ids else 0,
-                ]
-            )
+        for r, kept in zip(records, on_front):
+            writer.writerow([r.iteration, *r.objectives.to_json_dict().values(), int(kept)])
     finally:
         if args.out:
             out.close()
@@ -234,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="exhaustively evaluate a small space synthetically")
     p.add_argument("--blocks", type=int, required=True, help="blocks per cell (1 or 2)")
-    p.add_argument("--profile", default="movidius-ncs")
+    p.add_argument("--profile", default=DEFAULT_PROFILE)
     p.add_argument("--macro", help="macro config JSON")
     p.add_argument("--out")
     p.set_defaults(func=cmd_enumerate)

@@ -163,7 +163,7 @@ class DeviceProfile:
 
     def __post_init__(self) -> None:
         if self.threshold_w <= 0:
-            raise ValueError("threshold_w must be positive")
+            raise ValueError(f"threshold_w must be positive, got {self.threshold_w!r}")
 
 
 BUILTIN_PROFILES = {
@@ -192,6 +192,9 @@ BUILTIN_PROFILES = {
         mem_energy_per_param_j=8e-8,
     ),
 }
+
+
+DEFAULT_PROFILE = "movidius-ncs"  # a synthetic spec's profile when it names none
 
 
 def get_profile(name: str) -> DeviceProfile:
@@ -313,6 +316,8 @@ def _parse_response(raw: dict, workdir: Path) -> ObjectiveVector:
     if "threshold_w" not in raw:
         raise ResponseError("trace response requires 'threshold_w'")
     error = float(_typed(raw, "error", (int, float), "a number"))
+    # Measured as `hwnas trace --threshold` measures a trace; DeviceProfile refuses a threshold <= 0.
+    profile = DeviceProfile("response", float(_typed(raw, "threshold_w", (int, float), "a number")))
     trace_path = Path(_typed(raw, "trace_path", (str,), "a string"))
     if not trace_path.is_absolute():
         trace_path = workdir / trace_path
@@ -322,19 +327,15 @@ def _parse_response(raw: dict, workdir: Path) -> ObjectiveVector:
         trace = PowerTrace.from_csv(trace_path)
     except OSError as exc:  # a directory, or a file that cannot be opened
         raise ResponseError(f"trace file could not be read: {exc}") from exc
-    t1, t2 = segment_trace(trace, float(_typed(raw, "threshold_w", (int, float), "a number")))
-    return ObjectiveVector(
-        error=error,
-        energy_j=integrate_energy(trace, t1, t2),
-        time_s=(t2 - t1) / 1000.0,
-    )
+    measured = measure_from_trace(trace, profile)
+    return ObjectiveVector(error=error, energy_j=measured["energy_j"], time_s=measured["time_s"])
 
 
 def external_evaluate(
     request: dict,
     command: str | list[str],
     workdir: str | Path,
-    timeout_s: float = 3600.0,
+    timeout_s: float,
 ) -> ObjectiveVector:
     """Run one external evaluation through the request/response file protocol.
 
@@ -403,7 +404,7 @@ def build_evaluator(spec: dict, macro: MacroConfig):
     """Check an evaluator spec; return ``(callable genome -> ObjectiveVector, device name)``.
 
     The one reader of the spec.  ``type`` is "synthetic" (the default) or
-    "external".  Synthetic keys: ``profile`` ("movidius-ncs"; it names the
+    "external".  Synthetic keys: ``profile`` (``DEFAULT_PROFILE``; it names the
     device), ``seed`` (0), ``noise`` (0.0).  External keys: ``command`` and
     ``workdir`` (required), ``timeout_s`` (3600), ``device`` ("external"),
     ``training`` ({}, merged over the defaults).  A bad spec raises ``ValueError``
@@ -423,7 +424,7 @@ def build_evaluator(spec: dict, macro: MacroConfig):
             raise ValueError(f"evaluator {key} must be {wanted}, got {spec[key]!r}")
 
     if kind == "synthetic":
-        profile = BUILTIN_PROFILES[spec.get("profile", "movidius-ncs")]
+        profile = BUILTIN_PROFILES[spec.get("profile", DEFAULT_PROFILE)]
         seed, noise = spec.get("seed", 0), float(spec.get("noise", 0.0))
 
         def evaluate(genome: CellGenome) -> ObjectiveVector:

@@ -208,9 +208,7 @@ class _Gram(NamedTuple):
 
 
 def _gram(table: tuple[np.ndarray, np.ndarray]) -> _Gram:
-    """The :class:`_Gram` of a square ``table`` (unique values, index); a ``_Gram`` is returned as is."""
-    if isinstance(table, _Gram):
-        return table
+    """The :class:`_Gram` of a square ``table`` (unique values, index)."""
     uniq, inverse = table
     diagonal = inverse.diagonal()
     # Every row is at distance 0 from itself unless a feature is not finite.
@@ -286,21 +284,20 @@ class GPModel:
         y_raw: np.ndarray,
         params: KernelParams,
         standardize: bool = True,
-        table: tuple[np.ndarray, np.ndarray] | None = None,
+        gram: _Gram | None = None,
     ):
-        """``table`` is ``distance_table(X)`` (or its ``_Gram``) when the caller already has it."""
+        """``gram`` is ``_gram(distance_table(X))`` when the caller already has it."""
         self.X = np.atleast_2d(np.asarray(X, dtype=float))
         y_raw = np.asarray(y_raw, dtype=float).ravel()
         if self.X.shape[0] != y_raw.shape[0] or y_raw.shape[0] < 1:
             raise ValueError("X and y must agree and be non-empty")
-        self.y_raw = y_raw
         self.target_mean, self.target_std = _standardization(y_raw) if standardize else (0.0, 1.0)
         self.y = (y_raw - self.target_mean) / self.target_std
 
-        if table is None:
-            table = distance_table(self.X)
+        if gram is None:
+            gram = _gram(distance_table(self.X))
         self.L, self.alpha, jitter = _factor(
-            _gram(table), self.y, params.lengthscale, params.signal_variance, params.noise_variance
+            gram, self.y, params.lengthscale, params.signal_variance, params.noise_variance
         )
         # Fold any jitter into the stored noise so L L^T reproduces K + noise*I.
         self.params = KernelParams(
@@ -593,4 +590,4 @@ def fit(
     theta, val = _powell(neg_lml, starts[np.argsort(probes)[0]], lower, upper)
     if not isfinite(val):
         raise GPError("hyperparameter search failed for all starts")
-    return GPModel(X, y_raw, KernelParams(*np.exp(theta)), standardize=True, table=gram)
+    return GPModel(X, y_raw, KernelParams(*np.exp(theta)), standardize=True, gram=gram)

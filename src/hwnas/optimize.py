@@ -19,10 +19,11 @@ from typing import Callable
 import numpy as np
 
 from . import gp
-from .evaluation import ResponseError, build_evaluator
+from .evaluation import DEFAULT_PROFILE, ResponseError, build_evaluator
 from .network import MacroConfig
 from .pareto import contenders, hypervolume_improvements, non_dominated_mask, pareto_filter
 from .records import (
+    OBJECTIVE_NAMES,
     SOURCE_BO,
     SOURCE_RANDOM,
     SOURCE_REEVAL,
@@ -40,6 +41,7 @@ from .records import (
 from .search_space import (  # noqa: F401
     ENUMERATION_CAP,
     FIELDS_PER_BLOCK,
+    NUM_BLOCKS,
     CellGenome,
     decode,
     encode,
@@ -89,11 +91,11 @@ class RunConfig:
     seed: int = 0
     budget: int = 400
     n_init: int = 10
-    objective_subset: tuple[str, ...] = ("error", "energy", "time")
+    objective_subset: tuple[str, ...] = OBJECTIVE_NAMES
     macro: MacroConfig = field(default_factory=MacroConfig)
-    evaluator: dict = field(default_factory=lambda: {"type": "synthetic", "profile": "movidius-ncs"})
+    evaluator: dict = field(default_factory=lambda: {"type": "synthetic", "profile": DEFAULT_PROFILE})
     log_path: str | None = None
-    num_blocks: int = 5
+    num_blocks: int = NUM_BLOCKS
 
     def __post_init__(self) -> None:
         for name in ("seed", "budget", "n_init", "num_blocks"):
@@ -117,15 +119,16 @@ class RunConfig:
         object.__setattr__(self, "objective_subset", normalize_subset(subset))
 
     def to_json_dict(self) -> dict:
+        # Key order is part of the log format: line 1's fingerprint is this dict (_config_fingerprint).
         return {
             "seed": self.seed,
             "budget": self.budget,
             "n_init": self.n_init,
             "objective_subset": list(self.objective_subset),
+            "num_blocks": self.num_blocks,
             "macro": self.macro.to_json_dict(),
             "evaluator": self.evaluator,
             "log_path": self.log_path,
-            "num_blocks": self.num_blocks,
         }
 
     @classmethod
@@ -303,16 +306,14 @@ def propose_next(
 
 
 def _config_fingerprint(config: RunConfig, source: str) -> dict:
-    return {
-        "search": SEARCH_VERSION,
-        "seed": config.seed,
-        "n_init": config.n_init,
-        "objective_subset": list(config.objective_subset),
-        "num_blocks": config.num_blocks,
-        "macro": config.macro.to_json_dict(),
-        "evaluator": config.evaluator,
-        "mode": source,
-    }
+    """Line 1's config keys: the search version, every config field but two, the mode.
+
+    ``budget`` and ``log_path`` do not shape what a run proposes or measures:
+    a resumed run may raise its budget, and a log may be moved.
+    """
+    fields = config.to_json_dict()
+    del fields["budget"], fields["log_path"]
+    return {"search": SEARCH_VERSION, **fields, "mode": source}
 
 
 def _check_resume(config: RunConfig, entries: list[EvaluationRecord], source: str) -> None:
@@ -472,8 +473,8 @@ def reevaluate_cross_device(
     source_records: list[EvaluationRecord],
     source_subset,
     target_evaluator: Evaluator,
-    target_records: list[EvaluationRecord] | None = None,
-    target_device: str = "target",
+    target_records: list[EvaluationRecord] | None,
+    target_device: str,
 ) -> dict:
     """Re-measure the source Pareto front on another device and report dominance.
 

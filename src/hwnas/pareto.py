@@ -270,7 +270,7 @@ def contenders(
     front_values: np.ndarray,
     ref: np.ndarray,
     means: np.ndarray,
-    stds: np.ndarray | None = None,
+    stds: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending rows of ``means`` that may hold the largest hypervolume improvement, and the boxes.
 

@@ -212,8 +212,8 @@ def read_log(path: str | Path) -> list[EvaluationRecord]:
     """Parse a JSONL run log into one record per non-blank line, failure events included.
 
     A line is refused with a :class:`LogError` naming the path and line when
-    it is not a JSON object, lacks one of ``iteration``, ``genome`` and
-    ``objectives``, or holds a value that does not parse.  One run searches
+    it is not UTF-8 or not a JSON object, lacks one of ``iteration``,
+    ``genome`` and ``objectives``, or holds a value that does not parse.  One run searches
     one space, so a genome whose block count differs from the first line's
     is refused the same way, and so is a measured record whose iteration
     does not follow the last one's (they run 0, 1, 2, ...).
@@ -221,39 +221,40 @@ def read_log(path: str | Path) -> list[EvaluationRecord]:
     records: list[EvaluationRecord] = []
     first: tuple[int, int] | None = None  # (line, block count) of the first record
     measured = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LogError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(entry, dict):
-                raise LogError(f"{path}:{lineno}: expected a JSON object, got {type(entry).__name__}")
-            missing = [key for key in _REQUIRED_KEYS if key not in entry]
-            if missing:
-                raise LogError(f"{path}:{lineno}: missing {', '.join(missing)}")
-            try:
-                record = EvaluationRecord.from_json_dict(entry)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise LogError(f"{path}:{lineno}: unreadable entry: {type(exc).__name__}: {exc}") from exc
-            blocks = record.genome.num_blocks
-            if first is None:
-                first = (lineno, blocks)
-            elif blocks != first[1]:
+    # bytes.splitlines breaks at \n, \r\n and \r only: the line ends of text mode.
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise LogError(f"{path}:{lineno}: not valid UTF-8: {exc}") from exc
+        if not line:
+            continue
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise LogError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(entry, dict):
+            raise LogError(f"{path}:{lineno}: expected a JSON object, got {type(entry).__name__}")
+        missing = [key for key in _REQUIRED_KEYS if key not in entry]
+        if missing:
+            raise LogError(f"{path}:{lineno}: missing {', '.join(missing)}")
+        try:
+            record = EvaluationRecord.from_json_dict(entry)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LogError(f"{path}:{lineno}: unreadable entry: {type(exc).__name__}: {exc}") from exc
+        blocks = record.genome.num_blocks
+        if first is None:
+            first = (lineno, blocks)
+        elif blocks != first[1]:
+            raise LogError(f"{path}:{lineno}: genome has {blocks} blocks, line {first[0]}'s has {first[1]}")
+        if record.objectives is not None:
+            if record.iteration != measured:
                 raise LogError(
-                    f"{path}:{lineno}: genome has {blocks} blocks, line {first[0]}'s has {first[1]}"
+                    f"{path}:{lineno}: measured iterations not consecutive: "
+                    f"expected {measured}, found {record.iteration}"
                 )
-            if record.objectives is not None:
-                if record.iteration != measured:
-                    raise LogError(
-                        f"{path}:{lineno}: measured iterations not consecutive: "
-                        f"expected {measured}, found {record.iteration}"
-                    )
-                measured += 1
-            records.append(record)
+            measured += 1
+        records.append(record)
     return records
 
 

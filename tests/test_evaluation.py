@@ -539,12 +539,24 @@ class TestExternalEvaluate:
             ({"error": 0.25, "energy_j": True, "time_s": 0.05}, "energy_j must be a number, got True"),
             ({"error": 0.25, "energy_j": 2.0, "time_s": "1e-2"}, "time_s must be a number, got '1e-2'"),
             ({"error": 0.1, "trace_path": "trace.csv", "threshold_w": "1.0"}, "threshold_w must be a number"),
+            # A threshold <= 0 would take the whole trace as the working window.
+            ({"error": 0.1, "trace_path": "trace.csv", "threshold_w": 0}, "threshold_w must be positive, got 0.0"),
+            ({"error": 0.1, "trace_path": "trace.csv", "threshold_w": -1}, "threshold_w must be positive, got -1.0"),
             # Only the prefix is matched: Path() would refuse a number too, without naming the field.
             ({"error": 0.1, "trace_path": 5, "threshold_w": 1.0}, ""),
         ],
-        ids=["text-error", "boolean-error", "boolean-energy", "text-time", "text-threshold", "number-trace-path"],
+        ids=[
+            "text-error",
+            "boolean-error",
+            "boolean-energy",
+            "text-time",
+            "text-threshold",
+            "zero-threshold",
+            "negative-threshold",
+            "number-trace-path",
+        ],
     )
-    def test_response_value_of_another_json_type_refused(self, tmp_path, response, message):
+    def test_response_value_refused(self, tmp_path, response, message):
         constant_trace().to_csv(tmp_path / "trace.csv")
         body = f"import json, pathlib\npathlib.Path('response.json').write_text(json.dumps({response!r}))\n"
         with pytest.raises(ResponseError, match=re.escape(f"malformed response: {message}")):

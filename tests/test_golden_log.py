@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hwnas import optimize
 from hwnas.evaluation import PowerTrace, build_evaluator
 from hwnas.optimize import ConfigMismatchError, RunConfig, run_random, run_search
+from hwnas.records import LogError
 
 DATA = Path(__file__).parent / "data"
 
@@ -190,6 +191,24 @@ def test_resume_after_a_cut_at_any_byte(tmp_path_factory, cut):
     cfg = RunConfig(log_path=str(log), **FAILURE_CONFIG)
     run_search(cfg, failing_evaluator(cfg))
     assert log.read_bytes() == golden
+
+
+@pytest.mark.parametrize("line", [1, 17, 40])
+def test_byte_not_utf8_refused_with_its_line(tmp_path, line):
+    """A log byte that is not UTF-8 is refused with the path and line; the log is left as it was."""
+    lines = (DATA / "b1_noise.jsonl").read_bytes().splitlines(keepends=True)
+    middle = len(lines[line - 1]) // 2
+    lines[line - 1] = lines[line - 1][:middle] + b"\xff" + lines[line - 1][middle + 1 :]
+    corrupt = b"".join(lines)
+    log = tmp_path / "b1_noise.jsonl"
+    log.write_bytes(corrupt)
+    cfg = RunConfig(log_path=str(log), **GOLDEN["b1_noise.jsonl"])
+    evaluator, _ = build_evaluator(cfg.evaluator, cfg.macro)
+    with pytest.raises(LogError) as refused:
+        run_search(cfg, evaluator)
+    assert str(refused.value).startswith(f"{log}:{line}: not valid UTF-8")
+    assert log.read_bytes() == corrupt
+    assert not Path(cfg.log_path + ".lock").exists()
 
 
 # Seed 11's first warm-up genome fails, so line 1 is a failure event.

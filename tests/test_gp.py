@@ -650,10 +650,6 @@ class TestDiagonalClass:
         with pytest.raises(ValueError, match="diagonal"):
             _gram(table)
 
-    def test_gram_of_a_gram_is_itself(self):
-        gram = _gram(distance_table(np.eye(4)))
-        assert _gram(gram) is gram
-
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(values=st.lists(st.floats(0.0, 1e6, exclude_min=True), min_size=1, max_size=25))

@@ -24,6 +24,7 @@ from hwnas.optimize import (
     RunConfig,
     SearchState,
     SpaceExhaustedError,
+    _config_fingerprint,
     _fit_models,
     _posteriors,
     propose_next,
@@ -34,6 +35,8 @@ from hwnas.optimize import (
 )
 from hwnas.pareto import hypervolume_improvements, pareto_filter
 from hwnas.records import (
+    SOURCE_BO,
+    SOURCE_RANDOM,
     EvaluationRecord,
     ObjectiveVector,
     logical_timestamp,
@@ -567,6 +570,21 @@ def test_proposal_builds_the_boxes_once(monkeypatch):
     assert len(calls) == 1
 
 
+# One config change per key of a log's fingerprint, each altering that key
+# alone.  "search" is changed by raising the program's version, and "mode"
+# by resuming with run_random.
+FINGERPRINT_CHANGES = {
+    "search": {},
+    "seed": {"seed": 99},
+    "n_init": {"n_init": 2},
+    "objective_subset": {"objective_subset": ("error", "time")},
+    "num_blocks": {"num_blocks": 2},
+    "macro": {"macro": MacroConfig(N=5, F=64)},
+    "evaluator": {"evaluator": {**SYNTH, "noise": 0.05}},
+    "mode": {},
+}
+
+
 class TestRunSearch:
     def test_budget_reached_and_log_written(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -665,6 +683,33 @@ class TestRunSearch:
             run(cfg, ev)
         assert Path(cfg.log_path).read_text() == old
         assert not Path(cfg.log_path + ".lock").exists()
+
+    @pytest.mark.parametrize("key", list(_config_fingerprint(RunConfig(), SOURCE_BO)))
+    def test_resume_refuses_a_change_to_each_fingerprint_key(self, tmp_path, monkeypatch, key):
+        cfg = small_config(tmp_path)
+        ev, _ = build_evaluator(SYNTH, cfg.macro)
+        run_search(replace(cfg, budget=3), ev)
+        before = Path(cfg.log_path).read_bytes()
+        if key == "search":
+            monkeypatch.setattr(optimize, "SEARCH_VERSION", SEARCH_VERSION + 1)
+        run = run_random if key == "mode" else run_search
+        # A key with no entry fails here.
+        changed = replace(cfg, **FINGERPRINT_CHANGES[key])
+        with pytest.raises(ConfigMismatchError, match=rf"\b{key}\b"):
+            run(changed, ev)
+        assert Path(cfg.log_path).read_bytes() == before
+        assert not Path(cfg.log_path + ".lock").exists()
+
+    def test_fingerprint_is_the_config_but_budget_and_log_path(self):
+        cfg = small_config()
+        fields = cfg.to_json_dict()
+        assert set(fields) == set(RunConfig.__dataclass_fields__)
+        kept = [name for name in fields if name not in ("budget", "log_path")]
+        fingerprint = _config_fingerprint(cfg, SOURCE_RANDOM)
+        assert list(fingerprint) == ["search", *kept, "mode"]
+        assert fingerprint == {"search": SEARCH_VERSION, **{k: fields[k] for k in kept}, "mode": "random"}
+        # The key order of every log's first line.
+        assert kept == ["seed", "n_init", "objective_subset", "num_blocks", "macro", "evaluator"]
 
     def test_no_duplicate_genomes(self, tmp_path):
         cfg = small_config(tmp_path, budget=40, n_init=5)
@@ -931,7 +976,7 @@ class TestReevaluate:
         def target_eval(g):
             return synthetic_evaluate(g, macro, target_prof)
 
-        report = reevaluate_cross_device(source, None, target_eval, target_device="movidius-ncs")
+        report = reevaluate_cross_device(source, None, target_eval, None, "movidius-ncs")
         for row in report["models"]:
             assert row["target_objectives"]["error"] == pytest.approx(row["source_objectives"]["error"])
 
@@ -948,7 +993,7 @@ class TestReevaluate:
         def target_eval(g):
             return ObjectiveVector(*target_values[encode(g)])
 
-        report = reevaluate_cross_device(source, None, target_eval, target_device="movidius-ncs")
+        report = reevaluate_cross_device(source, None, target_eval, None, "movidius-ncs")
         rows = {tuple(r["genome"]["blocks"][0]): r for r in report["models"]}
         r1 = rows[(0, 0, 1, 1)]
         r2 = rows[(0, 1, 1, 1)]
@@ -983,7 +1028,7 @@ class TestReevaluate:
                 raise RuntimeError("no contact")
             return ObjectiveVector(0.1, 1.0, 1.0)
 
-        report = reevaluate_cross_device(source, None, target_eval)
+        report = reevaluate_cross_device(source, None, target_eval, None, "b")
         rows = {tuple(r["genome"]["blocks"][0]): r for r in report["models"]}
         assert "no contact" in rows[(0, 0, 1, 1)]["error"]
         assert rows[(1, 1, 2, 2)]["target_objectives"] is not None
@@ -994,13 +1039,13 @@ class TestReevaluate:
         def target_eval(g):
             raise RuntimeError("no contact")
 
-        report = reevaluate_cross_device(source, None, target_eval)
+        report = reevaluate_cross_device(source, None, target_eval, None, "b")
         assert report["merged_front"] == []
         assert [row["dominated_on_target"] for row in report["models"]] == [None]
 
     def test_empty_source_rejected(self):
         with pytest.raises(ValueError):
-            reevaluate_cross_device([], None, lambda g: None)
+            reevaluate_cross_device([], None, lambda g: None, None, "b")
 
 
 class TestRunConfig:
